@@ -4,17 +4,15 @@
 Sweeps the 6x6 diamond window (both L3 variants) and the 6x9 box window,
 joining the geometric shielder-off verdict of every candidate region with
 the separation verdict of its vertex set.  The box sweep is the interesting
-one: under the default collider convention it finds shielder-off regions
-that are m-connected through conditioned spouse colliders, and it reports
-them rather than hiding them.
+one: it finds shielder-off regions that are m-connected through conditioned
+spouse colliders, and it reports them rather than hiding them.
 """
 
 import argparse
-import csv
 import pathlib
 import time
 
-from seplat.cli import CSV_HEADER
+from seplat.cli import CSV_HEADER, sweep_csv_row, write_report
 from seplat.graph import format_path
 from seplat.lattice import (
     BOX,
@@ -25,19 +23,6 @@ from seplat.lattice import (
     canonical_probe_pair,
     prop1_sweep,
 )
-from seplat.separation import STRICT, SeparationQuery, is_separated
-from seplat.lattice import build_graph as build_lattice_graph
-
-
-def write_rows(path: pathlib.Path, rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(["+".join(r.region), str(r.l1).lower(),
-                             str(r.l2).lower(), str(r.l3).lower(),
-                             str(r.shielder_off).lower(), str(r.separated).lower(),
-                             format_path(r.witness) if r.witness else "-"])
 
 
 def main() -> None:
@@ -55,21 +40,17 @@ def main() -> None:
     ]
     for name, kind, window, variant, max_cells in jobs:
         cell_a, cell_b = canonical_probe_pair(kind, window)
-        g = build_lattice_graph(kind, window)
         t0 = time.perf_counter()
-        rep = prop1_sweep(kind, window, cell_a, cell_b, variant, max_cells,
-                          lattice_graph=g)
+        rep = prop1_sweep(kind, window, cell_a, cell_b, variant, max_cells)
         elapsed = time.perf_counter() - t0
-        write_rows(out_dir / f"{name}.csv", rep.rows)
+        path = out_dir / f"{name}.csv"
+        write_report(path, CSV_HEADER, map(sweep_csv_row, rep.rows))
         print(f"{name}: {rep.total} candidates, {rep.shielder_off_count} "
               f"shielder-off, {len(rep.counterexamples)} counterexamples "
-              f"({elapsed:.1f}s) -> {out_dir / (name + '.csv')}")
+              f"({elapsed:.1f}s) -> {path}")
         for row in rep.counterexamples:
-            strict_sep = is_separated(g, SeparationQuery(
-                cell_a.label, cell_b.label, frozenset(row.region), STRICT)).separated
             print(f"  counterexample {'+'.join(row.region)}")
             print(f"    witness {format_path(row.witness)}")
-            print(f"    separated under the strict collider rule: {strict_sep}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from .markov import (
     ancestral_margin,
     check_cmc,
     ci_violation,
-    cond_indep,
     find_dependence_witness,
     is_locally_causal,
     joint,
@@ -60,8 +59,6 @@ from .markov import (
     random_cpts,
 )
 from .separation import (
-    INCLUSIVE,
-    STRICT,
     SeparationQuery,
     SeparationVerdict,
     is_graph_shielder_off_set,
@@ -69,7 +66,6 @@ from .separation import (
     is_separated_oracle,
     minimal_separator,
     path_is_connecting,
-    verify_separation_theorem,
 )
 
 __version__ = "0.1.0"

@@ -24,8 +24,6 @@ from .graph import (
     graph_to_json_dict,
 )
 from .separation import (
-    INCLUSIVE,
-    STRICT,
     SeparationQuery,
     is_separated,
     is_separated_oracle,
@@ -36,11 +34,20 @@ CSV_HEADER = ["candidate_set", "l1", "l2", "l3", "shielder_off", "separated", "w
 MC_CSV_HEADER = ["query", "atoms_checked", "max_violation", "verdict"]
 
 
-def _write_mc_report(path: str, rows: list[list]) -> None:
+def write_report(path, header: list[str], rows) -> None:
+    """Write a ';'-separated CSV report: one header line, then the rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=";")
-        writer.writerow(MC_CSV_HEADER)
+        writer.writerow(header)
         writer.writerows(rows)
+
+
+def sweep_csv_row(r: lat.Prop1Row) -> list[str]:
+    """One sweep report line, in CSV_HEADER order."""
+    return ["+".join(r.region), str(r.l1).lower(), str(r.l2).lower(),
+            str(r.l3).lower(), str(r.shielder_off).lower(),
+            str(r.separated).lower(),
+            format_path(r.witness) if r.witness else "-"]
 
 
 def _emit(payload: dict) -> None:
@@ -70,6 +77,8 @@ def _load_graph(path: str) -> tuple[MixedGraph, str, lat.Window | None]:
         doc = json.load(fh)
     g, kind, wdict = graph_from_json_dict(doc)
     window = lat.window_from_dict(kind, wdict) if (wdict and kind != "abstract") else None
+    if window is not None and g != lat.build_graph(kind, window):
+        raise ValueError(f"graph does not match the {kind} lattice of its window")
     return g, kind, window
 
 
@@ -111,7 +120,7 @@ def _cmd_lattice_gen(args) -> int:
 
 def _cmd_sep_check(args) -> int:
     g, _kind, _window = _load_graph(args.graph)
-    q = SeparationQuery(args.a, args.b, _parse_label_set(args.c), args.convention)
+    q = SeparationQuery(args.a, args.b, _parse_label_set(args.c))
     verdict = is_separated_oracle(g, q) if args.oracle else is_separated(g, q)
     payload = {"separated": verdict.separated,
                "witness": format_path(verdict.witness) if verdict.witness else None}
@@ -145,7 +154,7 @@ def _cmd_shield_check(args) -> int:
     region = lat.parse_region(args.region)
     verdict = lat.shielder_off(region, cell_a, cell_b, args.variant, window)
     sep = is_separated(g, SeparationQuery(
-        args.a, args.b, lat.region_to_vertexset(region, g), args.convention))
+        args.a, args.b, lat.region_to_vertexset(region, g)))
     _emit({"l1": verdict.l1, "l2": verdict.l2, "l3": verdict.l3,
            "variant": verdict.variant, "shielder_off": verdict.shielder_off,
            "separated": sep.separated,
@@ -157,25 +166,10 @@ def _cmd_prop1_verify(args) -> int:
     g, kind, window = _load_graph(args.graph)
     window = _require_lattice(kind, window)
     cell_a, cell_b = lat.parse_cell(args.a), lat.parse_cell(args.b)
-    pool = lat.geo_ancestors(cell_a, window)
-    max_cells = args.max_cells if args.max_cells is not None else len(pool)
-    if lat.candidate_count(len(pool), max_cells) > args.budget:
-        raise BudgetExceeded(
-            f"{lat.candidate_count(len(pool), max_cells)} candidates exceed "
-            f"budget {args.budget}; pass --max-cells")
     report = lat.prop1_sweep(kind, window, cell_a, cell_b, args.variant,
-                             max_cells, args.convention, args.budget,
-                             lattice_graph=g)
-    rows = [[ "+".join(r.region), str(r.l1).lower(), str(r.l2).lower(),
-              str(r.l3).lower(), str(r.shielder_off).lower(),
-              str(r.separated).lower(),
-              format_path(r.witness) if r.witness else "-"]
-            for r in report.rows]
+                             args.max_cells, args.budget, lattice_graph=g)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=";")
-            writer.writerow(CSV_HEADER)
-            writer.writerows(rows)
+        write_report(args.report, CSV_HEADER, map(sweep_csv_row, report.rows))
     _emit({"candidates": report.total,
            "shielder_off": report.shielder_off_count,
            "counterexamples": [list(r.region) for r in report.counterexamples],
@@ -218,7 +212,7 @@ def _cmd_mc_soundness(args) -> int:
         if not ok:
             violations.append({"a": a, "b": b, "cond": sorted(cond), "violation": viol})
     if args.report:
-        _write_mc_report(args.report, rows)
+        write_report(args.report, MC_CSV_HEADER, rows)
     _emit({"trials": args.trials, "checked": checked, "skipped": skipped,
            "max_violation": max_violation, "violations": violations,
            "report": args.report})
@@ -256,7 +250,7 @@ def _cmd_mc_local_causality(args) -> int:
         rows = [[f"{c.pair[0]}_|_{c.pair[1]}|{'+'.join(c.region)}", c.atoms,
                  f"{c.violation:.3e}", "ci" if c.passed else "violation"]
                 for p in report.probes for c in p.checks]
-        _write_mc_report(args.report, rows)
+        write_report(args.report, MC_CSV_HEADER, rows)
     _emit({
         "locally_causal": report.locally_causal,
         "screening_failures": len(report.failures),
@@ -306,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--b", required=True)
     check.add_argument("--c", default="")
     check.add_argument("--oracle", action="store_true")
-    check.add_argument("--convention", choices=(INCLUSIVE, STRICT), default=INCLUSIVE)
     check.add_argument("--format", choices=("json", "csv"), default="json")
     check.set_defaults(func=_cmd_sep_check)
     minimal = sep.add_parser("minimal")
@@ -322,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scheck.add_argument("--b", required=True)
     scheck.add_argument("--region", required=True)
     scheck.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
-    scheck.add_argument("--convention", choices=(INCLUSIVE, STRICT), default=INCLUSIVE)
     scheck.set_defaults(func=_cmd_shield_check)
 
     prop1 = top.add_parser("prop1").add_subparsers(dest="cmd", required=True)
@@ -331,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", required=True)
     verify.add_argument("--b", required=True)
     verify.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
-    verify.add_argument("--convention", choices=(INCLUSIVE, STRICT), default=INCLUSIVE)
     verify.add_argument("--max-cells", type=int)
     verify.add_argument("--budget", type=int, default=lat.DEFAULT_ENUM_BUDGET)
     verify.add_argument("--report")

@@ -285,17 +285,11 @@ def simple_paths(g: MixedGraph, a: str, b: str, max_len: int) -> Iterator[Path]:
     g.require((a, b))
     if a == b:
         raise ValueError("path endpoints must differ")
-    for verts, kinds in _iter_simple_paths(g, a, b, max_len):
-        yield Path(tuple(verts), tuple(kinds))
-
-
-def _iter_simple_paths(g: MixedGraph, a: str, b: str, max_len: int):
-    """Internal enumeration shared with the separation oracle."""
     verts = [a]
     kinds: list[str] = []
     on_path = {a}
 
-    def walk(v: str) -> Iterator[tuple[list[str], list[str]]]:
+    def walk(v: str) -> Iterator[Path]:
         if len(kinds) >= max_len:
             return
         for (w, _mv, _mw, kind) in g.incident(v):
@@ -304,7 +298,7 @@ def _iter_simple_paths(g: MixedGraph, a: str, b: str, max_len: int):
             verts.append(w)
             kinds.append(kind)
             if w == b:
-                yield verts, kinds
+                yield Path(tuple(verts), tuple(kinds))
             else:
                 on_path.add(w)
                 yield from walk(w)

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph
-from .separation import INCLUSIVE, SeparationQuery, is_separated
+from .separation import SeparationQuery, is_separated
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -317,9 +317,11 @@ def _box_l3c(region: Region, cell_a: Cell, cell_b: Cell) -> bool:
     All region boundaries lie on lines t = n, x - t = n, x + t = n, so
     membership is constant on the faces of that line arrangement.  A
     quarter-step grid offset by (1/8, 1/16) never hits a boundary and puts
-    at least one sample in every face; since all cones expand at unit rate,
-    coverage below the band [min cell row of C - 2, common apex] is
-    monotone, so sampling the band decides containment exactly.
+    at least one sample in every face.  All cones expand at unit rate going
+    down and more of them become active, so a row of the common past that
+    is covered stays covered below; an uncovered pocket therefore reaches
+    up to the apex, and sampling the band [min(min cell row of C, apex) - 2,
+    apex] decides containment exactly.
     """
     ka, ma = cell_a.a, cell_a.b
     kb, mb = cell_b.a, cell_b.b
@@ -335,7 +337,7 @@ def _box_l3c(region: Region, cell_a: Cell, cell_b: Cell) -> bool:
     for k, m in cones:
         if m - k - 1 <= left_c and m + k + 2 >= right_c and k + 1 >= apex:
             return True
-    t_lo = min(k for k, _ in cones) - 2
+    t_lo = min(min(k for k, _ in cones), apex) - 2
     # scan downward from the apex: uncovered pockets sit at the top
     t = t_lo + 0.125 + 0.25 * floor((apex - (t_lo + 0.125)) / 0.25)
     if t >= apex:
@@ -384,14 +386,20 @@ def candidate_count(n_cells: int, max_cells: int) -> int:
 
 
 def enumerate_shielder_off(cell_a: Cell, cell_b: Cell, window: Window,
-                           variant: str, max_cells: int,
+                           variant: str, max_cells: int | None = None,
                            budget: int = DEFAULT_ENUM_BUDGET,
                            ) -> Iterator[tuple[Region, ShieldVerdict]]:
     """Stream (region, verdict) over all nonempty subsets of the in-window
-    geometric ancestors of cell_a, up to max_cells cells, in (size,
-    lexicographic) order."""
+    geometric ancestors of cell_a, up to max_cells cells (None: the whole
+    pool), in (size, lexicographic) order.
+
+    Raises BudgetExceeded before yielding anything when the candidate count
+    exceeds budget.
+    """
     _require_spacelike_pair(cell_a, cell_b)
     pool = sorted(geo_ancestors(cell_a, window))
+    if max_cells is None:
+        max_cells = len(pool)
     if candidate_count(len(pool), max_cells) > budget:
         raise BudgetExceeded(
             f"{candidate_count(len(pool), max_cells)} candidates exceed budget {budget}")
@@ -457,8 +465,7 @@ class Prop1Report:
 
 
 def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
-                variant: str, max_cells: int,
-                convention: str = INCLUSIVE,
+                variant: str, max_cells: int | None = None,
                 budget: int = DEFAULT_ENUM_BUDGET,
                 lattice_graph: MixedGraph | None = None) -> Prop1Report:
     """Full candidate sweep joining geometric verdicts with separation.
@@ -473,8 +480,7 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     rows = []
     for region, verdict in enumerate_shielder_off(cell_a, cell_b, window,
                                                   variant, max_cells, budget):
-        sep = is_separated(g, SeparationQuery(a, b, region_to_vertexset(region, g),
-                                              convention))
+        sep = is_separated(g, SeparationQuery(a, b, region_to_vertexset(region, g)))
         rows.append(Prop1Row(region.labels(), verdict.l1, verdict.l2, verdict.l3,
                              verdict.shielder_off, sep.separated, sep.witness))
     return Prop1Report(variant, rows)

@@ -111,10 +111,6 @@ class Distribution:
         drop = tuple(i for i, v in enumerate(self.vars) if v not in keep)
         return Distribution(keep, self.table.sum(axis=drop) if drop else self.table)
 
-    def items(self):
-        for idx in np.ndindex(*self.table.shape):
-            yield idx, float(self.table[idx])
-
 
 @dataclass(frozen=True)
 class EventRef:
@@ -184,6 +180,9 @@ def random_cpts(g: MixedGraph, seed: int) -> CptSet:
 
 
 def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
+    missing = [v for v in verts if v not in cpts.tables]
+    if missing:
+        raise UnknownVertex(f"no CPT for vertices {missing}")
     pos = {v: i for i, v in enumerate(verts)}
     table = np.ones((2,) * len(verts))
     for v in verts:
@@ -205,19 +204,7 @@ def joint(dag: MixedGraph, cpts: CptSet, latent: Iterable[str] = (),
     of the returned distribution."""
     if dag.bidirected:
         raise ValueError("joint needs a DAG; expand bidirected edges first")
-    latent = frozenset(latent)
-    if len(dag.vertices) > budget:
-        raise BudgetExceeded(
-            f"{len(dag.vertices)} vertices exceed the enumeration budget {budget}")
-    missing = [v for v in dag.vertices if v not in cpts.tables]
-    if missing:
-        raise UnknownVertex(f"no CPT for vertices {missing}")
-    table = _tensor_joint(dag.vertices, cpts)
-    if latent:
-        drop = tuple(i for i, v in enumerate(dag.vertices) if v in latent)
-        table = table.sum(axis=drop)
-    observed = tuple(v for v in dag.vertices if v not in latent)
-    return Distribution(observed, table)
+    return ancestral_margin(dag, cpts, dag.vertices, latent, budget)
 
 
 def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
@@ -283,13 +270,6 @@ def ci_details(d: Distribution, a: EventRef, b: EventRef,
                cond: Iterable[str]) -> tuple[float, int]:
     """(max violation, number of positive-probability atoms checked)."""
     return _ci(d, a, b, cond)
-
-
-def cond_indep(d: Distribution, a: EventRef, b: EventRef,
-               cond: Iterable[str], tol: float = 1e-9) -> bool:
-    """True iff p(A and B | c) = p(A | c) p(B | c) for every atom c of the
-    conditioning set with positive probability, up to tol."""
-    return _ci(d, a, b, cond)[0] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +386,8 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
         ev_a, ev_b = EventRef.single(a), EventRef.single(b)
         gap = ci_violation(margin, ev_a, ev_b, ())
         probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
-        pool = lattice_mod.geo_ancestors(cell_a, window)
-        limit = len(pool) if max_cells is None else max_cells
         for region, verdict in lattice_mod.enumerate_shielder_off(
-                cell_a, cell_b, window, variant, limit, enum_budget):
+                cell_a, cell_b, window, variant, max_cells, enum_budget):
             if not verdict.shielder_off:
                 continue
             labels = region.labels()

@@ -4,7 +4,8 @@ Two independent decision routes are provided:
 
 * is_separated_oracle -- exhaustively tests every simple path against the
   blocking criterion (a non-collider in the conditioning set blocks; a
-  collider blocks unless it is in the conditioning set's ancestor closure).
+  collider blocks unless it is in the conditioning set's inclusive ancestor
+  closure, i.e. it or one of its descendants is conditioned on).
 * is_separated -- reachability over (vertex, incoming-mark) states, the
   fast route used by sweeps.  Witness walks are spliced down to simple
   paths, which keeps the two routes provably equivalent.
@@ -16,8 +17,8 @@ neighbors; bidirected edge ends count as arrowheads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import AdjacentVertices, InvalidPath, NotCollateral
 from .graph import (
@@ -31,12 +32,6 @@ from .graph import (
     relatives,
 )
 
-INCLUSIVE = "inclusive"
-STRICT = "strict"
-
-_CONVENTIONS = (INCLUSIVE, STRICT)
-
-
 @dataclass(frozen=True)
 class SeparationQuery:
     """One separation decision: are a and b separated given cond?"""
@@ -44,7 +39,6 @@ class SeparationQuery:
     a: str
     b: str
     cond: frozenset[str] = frozenset()
-    collider_convention: str = INCLUSIVE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cond", frozenset(self.cond))
@@ -52,8 +46,6 @@ class SeparationQuery:
             raise ValueError("query endpoints must differ")
         if self.a in self.cond or self.b in self.cond:
             raise ValueError("query endpoints may not be conditioned on")
-        if self.collider_convention not in _CONVENTIONS:
-            raise ValueError(f"unknown collider convention {self.collider_convention!r}")
 
 
 @dataclass(frozen=True)
@@ -62,20 +54,11 @@ class SeparationVerdict:
     witness: Path | None = None
 
 
-def _collider_set(g: MixedGraph, cond: frozenset[str], convention: str) -> frozenset[str]:
-    """Vertices at which a conditioned collider is open."""
-    if convention == INCLUSIVE:
-        return relatives(g, cond, ANCESTORS_INCLUSIVE)
-    return relatives(g, cond, ANCESTORS)
-
-
-def path_is_connecting(g: MixedGraph, p: Path, cond: Iterable[str],
-                       convention: str = INCLUSIVE) -> bool:
+def path_is_connecting(g: MixedGraph, p: Path, cond: Iterable[str]) -> bool:
     """True iff the path is active given cond.
 
     Active: every interior non-collider is outside cond and every interior
-    collider is inside the conditioning set's ancestor closure (inclusive
-    convention) or strict ancestor set (strict convention).
+    collider is in cond or has a descendant in cond.
     """
     cond = frozenset(cond)
     g.require(p.vertices)
@@ -83,7 +66,7 @@ def path_is_connecting(g: MixedGraph, p: Path, cond: Iterable[str],
     _validate_path_edges(g, p)
     if p.vertices[0] in cond or p.vertices[-1] in cond:
         raise InvalidPath("path endpoints may not be in the conditioning set")
-    open_colliders = _collider_set(g, cond, convention)
+    open_colliders = relatives(g, cond, ANCESTORS_INCLUSIVE)
     return _connecting(p.vertices, p.edges, cond, open_colliders)
 
 
@@ -124,7 +107,7 @@ def is_separated_oracle(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     g.require((q.a, q.b))
     g.require(q.cond)
     cond = q.cond
-    open_colliders = _collider_set(g, cond, q.collider_convention)
+    open_colliders = relatives(g, cond, ANCESTORS_INCLUSIVE)
 
     verts = [q.a]
     kinds: list[str] = []
@@ -174,7 +157,7 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     g.require((q.a, q.b))
     g.require(q.cond)
     cond = q.cond
-    open_colliders = _collider_set(g, cond, q.collider_convention)
+    open_colliders = relatives(g, cond, ANCESTORS_INCLUSIVE)
 
     # prev[state] = (previous state or None, path-kind of the edge used)
     prev: dict[tuple[str, str], tuple[tuple[str, str] | None, str]] = {}
@@ -255,13 +238,11 @@ def _walk_to_simple_path(verts: list[str], kinds: list[str]) -> Path:
         kinds = kinds[:i] + kinds[j:]
 
 
-def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str],
-         convention: str = INCLUSIVE) -> bool:
-    return is_separated(g, SeparationQuery(a, b, frozenset(cond), convention)).separated
+def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str]) -> bool:
+    return is_separated(g, SeparationQuery(a, b, frozenset(cond))).separated
 
 
-def minimal_separator(g: MixedGraph, a: str, b: str,
-                      convention: str = INCLUSIVE) -> frozenset[str] | None:
+def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     """Greedy minimal separator contained in ancestors_inclusive({a, b}).
 
     Starts from the inclusive ancestor set minus the endpoints and removes
@@ -275,7 +256,7 @@ def minimal_separator(g: MixedGraph, a: str, b: str,
     if g.is_adjacent(a, b):
         raise AdjacentVertices(f"{a!r} and {b!r} are adjacent")
     s0 = relatives(g, frozenset((a, b)), ANCESTORS_INCLUSIVE) - {a, b}
-    if not _sep(g, a, b, s0, convention):
+    if not _sep(g, a, b, s0):
         return None
     # Removing a vertex can re-block colliders, so earlier survivors may
     # become removable; iterate to a fixpoint for true inclusion-minimality.
@@ -285,7 +266,7 @@ def minimal_separator(g: MixedGraph, a: str, b: str,
         changed = False
         for v in sorted(keep):
             trial = keep - {v}
-            if _sep(g, a, b, trial, convention):
+            if _sep(g, a, b, trial):
                 keep = trial
                 changed = True
     return frozenset(keep)
@@ -330,56 +311,3 @@ def is_graph_shielder_off_set(g: MixedGraph, a: str, b: str,
             stack.append(p)
     return True
 
-
-@dataclass(frozen=True)
-class TheoremRow:
-    candidate: tuple[str, ...]
-    shielder_off: bool
-    separated: bool
-    witness: Path | None
-
-
-@dataclass
-class TheoremReport:
-    rows: list[TheoremRow] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.rows)
-
-    @property
-    def shielder_off_count(self) -> int:
-        return sum(r.shielder_off for r in self.rows)
-
-    @property
-    def separated_count(self) -> int:
-        return sum(r.separated for r in self.rows)
-
-    @property
-    def counterexamples(self) -> list[TheoremRow]:
-        return [r for r in self.rows if r.shielder_off and not r.separated]
-
-
-def verify_separation_theorem(g: MixedGraph, a: str, b: str,
-                              candidate_sets: Iterable[Iterable[str]],
-                              convention: str = INCLUSIVE) -> TheoremReport:
-    """Sweep candidate conditioning sets: record the graph shielding flag and
-    the separation verdict for each, flagging shielded-but-connected rows."""
-    report = TheoremReport()
-    for cand in candidate_sets:
-        cand = frozenset(cand)
-        shielded = is_graph_shielder_off_set(g, a, b, cand)
-        verdict = is_separated(g, SeparationQuery(a, b, cand, convention))
-        report.rows.append(TheoremRow(
-            tuple(sorted(cand)), shielded, verdict.separated, verdict.witness))
-    return report
-
-
-def iter_subsets(items: Iterable[str], max_size: int | None = None) -> Iterator[frozenset[str]]:
-    """All subsets (including the empty set) in (size, lexicographic) order."""
-    from itertools import combinations
-    pool = sorted(items)
-    top = len(pool) if max_size is None else min(max_size, len(pool))
-    for size in range(top + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)

@@ -1,10 +1,25 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from seplat.cli import main
 
 A, B = "d(1,4)", "d(4,1)"
+ROOT = Path(__file__).resolve().parents[1]
+
+# SHA-256 of the canonical sweep reports written by scripts/prop1_sweeps.py
+# (box sweep with --box-max-cells 2); the diamond reports are also what
+# `seplat prop1 verify --max-cells 9` writes for the canonical probes.
+CANONICAL_CSV_SHA256 = {
+    "diamond_l3c": "9e97ee7166dd8939b4b419fd16d1ec93033b2ebd98c4030b251b261abe6ffe04",
+    "diamond_l3q": "0a8bbef5c06de195e4ccbc8b5ea147b8dedd3cc23f2d07ed59714c9c3d69d630",
+    "box_l3c": "7d3db423858d47a02ef5eee96679f03e88b704d13e9c5719719c7fdab5af93b4",
+}
 
 
 @pytest.fixture()
@@ -79,11 +94,10 @@ def test_sep_check_csv_format_and_strict(diamond_file, capsys):
                  "--c", "d(0,3)+d(0,4)+d(1,3)", "--format", "csv"])
     assert code == 0
     assert capsys.readouterr().out.strip() == f"{A};{B};True;-"
-    # under the strict collider rule the low set blocks the trek's fork? no:
-    # forks are non-colliders, so the verdict stays connected
+    # there is one collider rule; the strict alternative is an unknown argument
     code = main(["sep", "check", "--graph", str(diamond_file), "--a", A, "--b", B,
                  "--c", "d(0,0)+d(0,1)+d(1,0)", "--convention", "strict"])
-    assert code == 1
+    assert code == 2
 
 
 def test_sep_minimal(diamond_file, capsys):
@@ -122,6 +136,19 @@ def test_shield_check(diamond_file, capsys):
                  "--b", B, "--region", "d(1,4)+d(0,3)"]) == 2
 
 
+def test_lattice_document_must_match_window(diamond_file, tmp_path, capsys):
+    doc = json.loads(diamond_file.read_text())
+    doc["directed"].remove(["d(1,3)", "d(1,4)"])
+    doc["window"]["imax"] = 9
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["shield", "check", "--graph", str(tampered), "--a", A, "--b", B,
+                 "--region", "d(0,3)+d(0,4)+d(1,3)"]) == 2
+    assert main(["prop1", "verify", "--graph", str(tampered), "--a", A, "--b", B,
+                 "--max-cells", "2"]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_shield_check_rejects_abstract(tmp_path):
     from seplat.cli import graph_document_text
     from seplat.graph import build_graph
@@ -145,6 +172,21 @@ def test_prop1_verify(diamond_file, tmp_path, capsys):
     assert len(lines) == 512
     assert main(["prop1", "verify", "--graph", str(diamond_file), "--a", A,
                  "--b", B, "--budget", "100"]) == 2
+
+
+def test_canonical_sweep_reports_pinned(diamond_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "prop1_sweeps.py"),
+                    "--box-max-cells", "2", "--out-dir", str(tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    for name, digest in CANONICAL_CSV_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
+    for name, variant in (("diamond_l3c", "l3c"), ("diamond_l3q", "l3q")):
+        report = tmp_path / f"cli_{name}.csv"
+        assert main(["prop1", "verify", "--graph", str(diamond_file), "--a", A, "--b", B,
+                     "--variant", variant, "--max-cells", "9", "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_CSV_SHA256[name]
 
 
 def test_prop1_verify_max_cells_zero(diamond_file, capsys):

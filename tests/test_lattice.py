@@ -1,4 +1,8 @@
+from fractions import Fraction
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import BOX_WINDOW, DIAMOND_WINDOW, LOW_SET, PAR_A, STAIRCASE
 from seplat.errors import (
@@ -192,6 +196,83 @@ def test_l3_region_box():
     assert l3_region(region(b(3, 2), b(3, 4)), b(4, 2), b(4, 6), L3C)
     assert l3_region(region(b(3, 1)), b(4, 2), b(4, 6), L3Q)
     assert not l3_region(region(b(3, 5)), b(4, 2), b(4, 6), L3Q)  # past of B
+
+
+def _in_past(cell, t, x):
+    # PC(k,m) = {(t,x): t < k+1, m-(k+1-t) < x < m+1+(k+1-t)}
+    k, m = cell.a, cell.b
+    return t < k + 1 and m - (k + 1 - t) < x < m + 1 + (k + 1 - t)
+
+
+def _in_past_closure(cell, t, x):
+    k, m = cell.a, cell.b
+    return t <= k + 1 and m - (k + 1 - t) <= x <= m + 1 + (k + 1 - t)
+
+
+# One step from an arrangement vertex into each of the (at most six) angular
+# sectors that the lines t = n, x - t = n, x + t = n cut around it.  Every
+# vertex has integer x - t and x + t and t a multiple of 1/2, so these steps
+# cross no further line and land on none.
+_FACE_STEPS = tuple((Fraction(dt, 8), Fraction(dx, 8))
+                    for dt, dx in ((1, 2), (1, 0), (1, -2), (-1, -2), (-1, 0), (-1, 2)))
+
+
+def _exact_box_l3c(cells, a, b, depth=8):
+    """Does the union of the cells' past cones contain the common past of a
+    and b?  Exact rationals, one interior point of every face of the line
+    arrangement inside the common past, down to `depth` rows below the
+    lowest cell."""
+    t_lo = min(c.a for c in (*cells, a, b)) - depth
+    top = min(a.a, b.a) + 1
+    left = max(c.b - c.a - 1 for c in (a, b))
+    right = min(c.b + c.a + 2 for c in (a, b))
+    # every line of the arrangement that meets the closed common past above t_lo
+    hs = range(t_lo, top + 1)
+    ds = range(left, right - 2 * t_lo + 1)
+    es = range(left + 2 * t_lo, right + 1)
+    vertices = {(Fraction(n), Fraction(n + p)) for n in hs for p in ds}
+    vertices |= {(Fraction(n), Fraction(q - n)) for n in hs for q in es}
+    vertices |= {(Fraction(q - p, 2), Fraction(p + q, 2)) for p in ds for q in es}
+    for t, x in vertices:
+        if t < t_lo or not (_in_past_closure(a, t, x) and _in_past_closure(b, t, x)):
+            continue
+        for dt, dx in _FACE_STEPS:
+            ts, xs = t + dt, x + dx
+            if (_in_past(a, ts, xs) and _in_past(b, ts, xs)
+                    and not any(_in_past(c, ts, xs) for c in cells)):
+                return False
+    return True
+
+
+@st.composite
+def box_l3c_cases(draw):
+    ka, kb = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ma = draw(st.integers(0, 4))
+    mb = ma + draw(st.integers(abs(ka - kb) + 2, abs(ka - kb) + 8))  # spacelike
+    cell_a, cell_b = b(ka, ma), b(kb, mb)
+    if draw(st.booleans()):
+        cell_a, cell_b = cell_b, cell_a
+    # cells from three rows below the common past's apex to above both
+    # probes, placed so their cone edges fall near the apex
+    left = max(c.b - c.a - 1 for c in (cell_a, cell_b))
+    right = min(c.b + c.a + 2 for c in (cell_a, cell_b))
+    apex = min(min(ka, kb) + 1, (right - left) // 2)
+    cells = set()
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(apex - 3, max(ka, kb) + 1))
+        lo = right - k - 4
+        cells.add(b(k, draw(st.integers(lo, max(lo, left + k + 3)))))
+    return cells, cell_a, cell_b
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_l3c_cases())
+# a common past whose apex lies more than two rows below the region
+@example(({b(3, 10)}, b(4, 0), b(2, 8)))
+def test_box_l3c_matches_exact_containment(case):
+    cells, cell_a, cell_b = case
+    assert l3_region(region(*cells), cell_a, cell_b, L3C) == _exact_box_l3c(
+        cells, cell_a, cell_b)
 
 
 def test_shielder_off_fixture_regions():

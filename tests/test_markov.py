@@ -18,7 +18,6 @@ from seplat.markov import (
     ancestral_margin,
     check_cmc,
     ci_violation,
-    cond_indep,
     find_dependence_witness,
     is_locally_causal,
     joint,
@@ -106,6 +105,15 @@ def test_joint_budget():
         joint(g, random_cpts(g, 0))
 
 
+def test_missing_cpt_raises_unknown_vertex():
+    g = build_graph({"a", "b"}, [("a", "b")])
+    cpts = cpts_of(a=((), 0.5))
+    with pytest.raises(UnknownVertex):
+        joint(g, cpts)
+    with pytest.raises(UnknownVertex):
+        ancestral_margin(g, cpts, ("b",))
+
+
 def test_joint_marginalizes_latents(box3):
     dag, latent = latent_expansion(box3)
     d = joint(dag, random_cpts(dag, 11), latent)
@@ -118,8 +126,8 @@ def test_cond_indep_common_cause_copies():
     cpts = cpts_of(e=((), 0.5), a=(("e",), [0.05, 0.95]), b=(("e",), [0.05, 0.95]))
     d = joint(g, cpts)
     ea, eb = EventRef.single("a"), EventRef.single("b")
-    assert cond_indep(d, ea, eb, ("e",))
-    assert not cond_indep(d, ea, eb, ())
+    assert ci_violation(d, ea, eb, ("e",)) <= 1e-9
+    assert ci_violation(d, ea, eb, ()) > 1e-9
     # symmetry of the check
     assert ci_violation(d, ea, eb, ()) == pytest.approx(
         ci_violation(d, eb, ea, ()), abs=1e-15)
@@ -129,9 +137,9 @@ def test_cond_indep_rejects_overlap():
     g = build_graph({"a", "b"}, [("a", "b")])
     d = joint(g, random_cpts(g, 0))
     with pytest.raises(DisjointnessViolation):
-        cond_indep(d, EventRef.single("a"), EventRef.single("a"), ())
+        ci_violation(d, EventRef.single("a"), EventRef.single("a"), ())
     with pytest.raises(DisjointnessViolation):
-        cond_indep(d, EventRef.single("a"), EventRef.single("b"), ("b",))
+        ci_violation(d, EventRef.single("a"), EventRef.single("b"), ("b",))
 
 
 def test_event_ref_validation():

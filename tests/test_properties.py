@@ -52,8 +52,7 @@ def graph_and_query(draw, max_n=6, max_cond=2, bidirected=True):
     rest = sorted(set(g.vertices) - {a, b})
     cond = draw(st.sets(st.sampled_from(rest), max_size=min(max_cond, len(rest)))
                 if rest else st.just(set()))
-    conv = draw(st.sampled_from(("inclusive", "strict")))
-    return g, SeparationQuery(a, b, frozenset(cond), conv)
+    return g, SeparationQuery(a, b, frozenset(cond))
 
 
 @SETTINGS
@@ -96,7 +95,7 @@ def test_simple_paths_are_simple(g):
 @given(graph_and_query())
 def test_separation_is_symmetric(gq):
     g, q = gq
-    flipped = SeparationQuery(q.b, q.a, q.cond, q.collider_convention)
+    flipped = SeparationQuery(q.b, q.a, q.cond)
     assert is_separated(g, q).separated == is_separated(g, flipped).separated
 
 
@@ -113,8 +112,7 @@ def test_witnesses_are_connecting_paths(gq):
     g, q = gq
     for verdict in (is_separated(g, q), is_separated_oracle(g, q)):
         if not verdict.separated:
-            assert path_is_connecting(g, verdict.witness, q.cond,
-                                      q.collider_convention)
+            assert path_is_connecting(g, verdict.witness, q.cond)
 
 
 @SETTINGS
