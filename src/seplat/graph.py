@@ -73,7 +73,7 @@ class MixedGraph:
 
     __slots__ = ("vertices", "directed", "bidirected", "_parents", "_children",
                  "_spouses", "_order", "_incident", "_directed_set",
-                 "_bidirected_set")
+                 "_bidirected_set", "index", "adjacency", "ancestor_masks")
 
     def __init__(self, vertices, directed, bidirected, parents, children,
                  spouses, order):
@@ -99,6 +99,33 @@ class MixedGraph:
             v: tuple(sorted(items, key=lambda e: (e[0], _KIND_RANK[e[3]])))
             for v, items in incident.items()
         }
+        # Integer core for the hot paths.  Vertex i is vertices[i], and state
+        # 2*j + h is vertex j entered through an arrowhead (h = 1) or a tail
+        # (h = 0).  adjacency[i] lists the moves out of vertex i in incident()
+        # order as (next state, neighbor index, path kind): all of them, those
+        # whose edge has a head at i, and those whose edge has a tail at i.
+        # ancestor_masks[i] has bit j set iff vertices[j] is an inclusive
+        # ancestor of vertices[i].
+        index = {v: i for i, v in enumerate(vertices)}
+        adjacency = []
+        for v in vertices:
+            every, head_here, tail_here = [], [], []
+            for (w, mv, mw, kind) in self._incident[v]:
+                move = (2 * index[w] + (mw == "h"), index[w], kind)
+                every.append(move)
+                (head_here if mv == "h" else tail_here).append(move)
+            adjacency.append((tuple(every), tuple(head_here), tuple(tail_here)))
+        masks = [0] * len(vertices)
+        for v in order:
+            i = index[v]
+            mask = 1 << i
+            for p in parents[v]:
+                mask |= masks[index[p]]
+            masks[i] = mask
+        self.index: dict[str, int] = index
+        self.adjacency: tuple[tuple[tuple[tuple[int, int, str], ...], ...], ...] = \
+            tuple(adjacency)
+        self.ancestor_masks: tuple[int, ...] = tuple(masks)
 
     def __contains__(self, label: str) -> bool:
         return label in self._parents
@@ -324,16 +351,39 @@ def graph_to_json_dict(g: MixedGraph, kind: str = "abstract",
 
 
 def graph_from_json_dict(doc: dict) -> tuple[MixedGraph, str, dict | None]:
-    """Rebuild (graph, kind, window dict or None) from a JSON document."""
-    try:
-        kind = doc.get("kind", "abstract")
-        vertices = doc["vertices"]
-        directed = [tuple(e) for e in doc["directed"]]
-        bidirected = [tuple(e) for e in doc["bidirected"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidPath(f"malformed graph document: {exc}") from exc
+    """Rebuild (graph, kind, window dict or None) from a JSON document.
+
+    Raises InvalidPath unless vertices is a list of strings, every edge a
+    two-element list of strings and every window bound an integer.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidPath("malformed graph document: not a JSON object")
+    vertices = _document_field(doc, "vertices")
+    if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+        raise InvalidPath("malformed graph document: vertices must be a list of strings")
+    directed, bidirected = (_edge_list(doc, key) for key in ("directed", "bidirected"))
+    kind = doc.get("kind", "abstract")
     if kind not in ("abstract", "diamond", "box"):
         raise InvalidPath(f"unknown graph kind {kind!r}")
-    g = build_graph(vertices, directed, bidirected)
     window = doc.get("window")
+    if window is not None and not (isinstance(window, dict) and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in window.values())):
+        raise InvalidPath("malformed graph document: window bounds must be integers")
+    g = build_graph(vertices, directed, bidirected)
     return g, kind, dict(window) if window is not None else None
+
+
+def _document_field(doc: dict, key: str):
+    if key not in doc:
+        raise InvalidPath(f"malformed graph document: missing {key!r}")
+    return doc[key]
+
+
+def _edge_list(doc: dict, key: str) -> list[tuple[str, str]]:
+    edges = _document_field(doc, key)
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+            for e in edges)):
+        raise InvalidPath(f"malformed graph document: {key} must be a list of "
+                          "[u, v] string pairs")
+    return [tuple(e) for e in edges]

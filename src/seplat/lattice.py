@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, floor
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import graph as graph_mod
@@ -59,9 +61,12 @@ class Cell:
     a: int
     b: int
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{_PREFIX[self.kind]}({self.a},{self.b})"
+
+
+_coords = attrgetter("a", "b")
 
 
 def parse_cell(label: str) -> Cell:
@@ -133,7 +138,8 @@ class Region:
         return cls(next(iter(kinds)), cells)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in sorted(self.cells))
+        # one kind per region, so (a, b) order is the Cell order
+        return tuple(c.label for c in sorted(self.cells, key=_coords))
 
     def literal(self) -> str:
         return "+".join(self.labels())
@@ -266,25 +272,52 @@ def l1_past(region: Region, cell_a: Cell) -> bool:
                for c in region.cells)
 
 
+@lru_cache(maxsize=64)
+def _backward_index(cell_a: Cell, window: Window
+                    ) -> tuple[dict[tuple[int, int], int], tuple[int, ...], int]:
+    """Bit index of the cells reachable backward from cell_a inside the
+    window (cell_a is bit 0): (position by (a, b), in-window parent mask per
+    bit, mask of boundary cells)."""
+    pos = {(cell_a.a, cell_a.b): 0}
+    cells = [cell_a]
+    for c in cells:  # grows while it is scanned: a breadth-first closure
+        for p in direct_parents(c):
+            if window.contains(p) and (p.a, p.b) not in pos:
+                pos[(p.a, p.b)] = len(cells)
+                cells.append(p)
+    parent_masks = tuple(
+        sum(1 << pos[(p.a, p.b)] for p in direct_parents(c) if window.contains(p))
+        for c in cells)
+    boundary = sum(1 << i for i, c in enumerate(cells) if is_boundary_cell(c, window))
+    return pos, parent_masks, boundary
+
+
 def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
     """Discrete domain-of-dependence test.
 
     Walk backward from cell_a through in-window parents, never entering the
     region; the region shields iff no reachable cell has a parent outside
-    the window (window exit counts as failure).
+    the window (window exit counts as failure).  The walk is a frontier flood
+    fill over bitmasks of the cells backward-reachable from cell_a.
     """
     _require_same_kind(cell_a, *region.cells)
-    blocked = region.cells
-    seen = {cell_a}
-    stack = [cell_a]
-    while stack:
-        c = stack.pop()
-        if is_boundary_cell(c, window):
+    pos, parent_masks, boundary = _backward_index(cell_a, window)
+    blocked = 0
+    for c in region.cells:
+        i = pos.get((c.a, c.b))
+        if i is not None:
+            blocked |= 1 << i
+    seen = frontier = 1
+    while frontier:
+        if frontier & boundary:
             return False
-        for p in direct_parents(c):
-            if window.contains(p) and p not in blocked and p not in seen:
-                seen.add(p)
-                stack.append(p)
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= parent_masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~(blocked | seen)
+        seen |= frontier
     return True
 
 
@@ -325,7 +358,7 @@ def _box_l3c(region: Region, cell_a: Cell, cell_b: Cell) -> bool:
     """
     ka, ma = cell_a.a, cell_a.b
     kb, mb = cell_b.a, cell_b.b
-    cones = [(c.a, c.b) for c in sorted(region.cells)]
+    cones = sorted(map(_coords, region.cells))
     apex = min(ka + 1.0, kb + 1.0,
                (mb - ma + ka + kb + 3) / 2.0,
                (ma - mb + ka + kb + 3) / 2.0)

@@ -207,18 +207,26 @@ def joint(dag: MixedGraph, cpts: CptSet, latent: Iterable[str] = (),
     return ancestral_margin(dag, cpts, dag.vertices, latent, budget)
 
 
-def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
-                     latent: Iterable[str] = (),
-                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
-    """Exact marginal over the observed part of the ancestral closure of the
-    targets.  Vertices outside the closure are barren and never enumerated,
-    which keeps large lattice graphs within the budget."""
+def ancestral_closure(dag: MixedGraph, targets: Iterable[str],
+                      budget: int = DEFAULT_JOINT_BUDGET) -> frozenset[str]:
+    """Inclusive ancestral closure of the targets, the scope of their exact
+    margin; BudgetExceeded when it has more than budget vertices."""
     targets = frozenset(targets)
     dag.require(targets)
     closure = relatives(dag, targets, ANCESTORS_INCLUSIVE)
     if len(closure) > budget:
         raise BudgetExceeded(
             f"ancestral closure of {len(closure)} vertices exceeds budget {budget}")
+    return closure
+
+
+def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
+                     latent: Iterable[str] = (),
+                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
+    """Exact marginal over the observed part of the ancestral closure of the
+    targets.  Vertices outside the closure are barren and never enumerated,
+    which keeps large lattice graphs within the budget."""
+    closure = ancestral_closure(dag, targets, budget)
     verts = tuple(sorted(closure))
     table = _tensor_joint(verts, cpts)
     latent = frozenset(latent) & closure

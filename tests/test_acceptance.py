@@ -12,6 +12,7 @@ oracle and by d-separation on the latent expansion; the README documents the
 finding.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -30,7 +31,7 @@ from conftest import (
     PAR_A,
     STAIRCASE,
 )
-from seplat.cli import dot_text, graph_document_text
+from seplat.cli import CSV_HEADER, dot_text, graph_document_text, sweep_csv_row, write_report
 from seplat.graph import (
     ANCESTORS_INCLUSIVE,
     BIDIR,
@@ -190,6 +191,18 @@ def test_criterion_3_prop1_box_m_separation(box69, box_l3c):
     assert counterexamples == BOX_COUNTEREXAMPLES
     assert not unconfirmed
     assert not unexplained
+
+
+# SHA-256 of the 6x9 box L3C report (max_cells=5) in the format of
+# `seplat prop1 verify --report`, recorded before the integer graph core.
+BOX_L3C_REPORT_SHA256 = "0907a23dbc86a346fc583723ef10a62ffecb70066f872d6f5c1411d210c05afd"
+
+
+def test_criterion_3_box_report_pinned(box_l3c, tmp_path):
+    rep, _elapsed = box_l3c
+    report = tmp_path / "box_l3c.csv"
+    write_report(report, CSV_HEADER, map(sweep_csv_row, rep.rows))
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == BOX_L3C_REPORT_SHA256
 
 
 def test_criterion_3_networkx_cross_check(box69, box_l3c):

@@ -213,6 +213,31 @@ def test_mc_soundness(tmp_path, capsys):
     assert any(";ci" in ln for ln in lines[1:])
 
 
+def test_mc_soundness_builds_margins_only_for_checked_trials(tmp_path, capsys, monkeypatch):
+    import seplat.markov
+
+    path = tmp_path / "g.json"
+    assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "3",
+                 "--jmin", "0", "--jmax", "3", "--out", str(path)]) == 0
+    calls = []
+    original = seplat.markov.ancestral_margin
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(seplat.markov, "ancestral_margin", counting)
+    report = tmp_path / "mc.csv"
+    code = main(["mc", "soundness", "--graph", str(path), "--trials", "40", "--seed", "3",
+                 "--max-cond", "4", "--budget", "9", "--report", str(report)])
+    assert code == 0
+    out = _last_json(capsys)
+    verdicts = [ln.rsplit(";", 1)[1] for ln in report.read_text().strip().splitlines()[1:]]
+    assert "skipped:budget" in verdicts and "skipped:connected" in verdicts
+    assert out["checked"] == verdicts.count("ci") + verdicts.count("violation") > 0
+    assert len(calls) == out["checked"]
+
+
 def test_mc_witness(diamond_file, tmp_path, capsys):
     cpt_file = tmp_path / "w.json"
     code = main(["mc", "witness", "--graph", str(diamond_file), "--a", A, "--b", B,
@@ -258,6 +283,28 @@ def test_export_dot_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["export", "dot", "--graph", str(bad)]) == 2
+
+
+def test_malformed_graph_documents_exit_2(tmp_path, diamond_file):
+    diamond = json.loads(diamond_file.read_text())
+    bad_docs = {
+        "vertex_string": {"vertices": "abc", "directed": ["ab", "bc"], "bidirected": []},
+        "edge_strings": {"vertices": ["a", "b", "c"], "directed": ["ab", "bc"],
+                         "bidirected": []},
+        "edge_triple": {"vertices": ["a", "b", "c"], "directed": [["a", "b", "c"]],
+                        "bidirected": []},
+        "vertex_number": {"vertices": ["a", 1], "directed": [], "bidirected": []},
+        "edge_number": {"vertices": ["a", "b"], "directed": [["a", 2]], "bidirected": []},
+        "not_object": ["a", "b"],
+        "float_bound": dict(diamond, window=dict(diamond["window"], imax=5.0)),
+        "bool_bound": dict(diamond, window=dict(diamond["window"], imin=False)),
+        "string_bound": dict(diamond, window=dict(diamond["window"], jmax="5")),
+    }
+    for name, doc in bad_docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sep", "check", "--graph", str(path), "--a", "a", "--b", "c"]) == 2, name
+        assert main(["export", "dot", "--graph", str(path)]) == 2, name
 
 
 def test_json_round_trip_byte_stable(diamond_file):

@@ -168,6 +168,49 @@ def test_l2_shields():
                           DIAMOND_WINDOW)
 
 
+def _l2_cell_walk(region, cell_a, window):
+    """Reference L2: depth-first walk over Cell objects, backward from cell_a
+    through in-window parents outside the region; fails at a boundary cell."""
+    seen = {cell_a}
+    stack = [cell_a]
+    while stack:
+        c = stack.pop()
+        if is_boundary_cell(c, window):
+            return False
+        for p in direct_parents(c):
+            if window.contains(p) and p not in region.cells and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return True
+
+
+@st.composite
+def l2_cases(draw):
+    kind = draw(st.sampled_from((DIAMOND, BOX)))
+    a_min, b_min = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    window = Window(a_min, a_min + draw(st.integers(0, 6)),
+                    b_min, b_min + draw(st.integers(0, 6)))
+    # the probe may sit on or just outside the window edge
+    coord = lambda lo, hi: st.integers(lo - 1, hi + 1)  # noqa: E731
+    cell_a = Cell(kind, draw(coord(window.a_min, window.a_max)),
+                  draw(coord(window.b_min, window.b_max)))
+    # cells near the probe's past, where regions can shield, plus strays
+    near = sorted(direct_parents(cell_a) | {g for p in direct_parents(cell_a)
+                                            for g in direct_parents(p)})
+    cells = {c for c in near if draw(st.integers(0, 2))}
+    cells |= draw(st.sets(st.builds(Cell, st.just(kind), coord(window.a_min, window.a_max),
+                                    coord(window.b_min, window.b_max)),
+                          min_size=0 if cells else 1, max_size=4))
+    return Region(kind, frozenset(cells)), cell_a, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(l2_cases())
+def test_l2_bitmask_matches_cell_walk(case):
+    region, cell_a, window = case
+    assert l2_shields(region, cell_a, window) == _l2_cell_walk(region, cell_a, window)
+
+
 def test_parents_always_shield():
     for kind, window in ((DIAMOND, Window(0, 3, 0, 3)), (BOX, Window(0, 3, 0, 3))):
         for cell in window.cells(kind):

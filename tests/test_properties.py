@@ -66,6 +66,16 @@ def test_ancestor_descendant_duality(g):
 
 @SETTINGS
 @given(mixed_graphs())
+def test_ancestor_masks_match_relatives(g):
+    for i, v in enumerate(g.vertices):
+        assert g.index[v] == i
+        mask = g.ancestor_masks[i]
+        members = {w for j, w in enumerate(g.vertices) if mask >> j & 1}
+        assert members == relatives(g, {v}, ANCESTORS_INCLUSIVE)
+
+
+@SETTINGS
+@given(mixed_graphs())
 def test_parents_within_ancestors(g):
     for v in g.vertices:
         assert relatives(g, {v}, PARENTS) <= relatives(g, {v}, ANCESTORS)
