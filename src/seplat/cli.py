@@ -283,6 +283,14 @@ def _cmd_export_dot(args) -> int:
 # parser
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts and budgets."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seplat")
     top = parser.add_subparsers(dest="group", required=True)
@@ -326,18 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--b", required=True)
     verify.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
     verify.add_argument("--max-cells", type=int)
-    verify.add_argument("--budget", type=int, default=lat.DEFAULT_ENUM_BUDGET)
+    verify.add_argument("--budget", type=_non_negative_int, default=lat.DEFAULT_ENUM_BUDGET)
     verify.add_argument("--report")
     verify.set_defaults(func=_cmd_prop1_verify)
 
     mc = top.add_parser("mc").add_subparsers(dest="cmd", required=True)
     soundness = mc.add_parser("soundness")
     soundness.add_argument("--graph", required=True)
-    soundness.add_argument("--trials", type=int, default=100)
+    soundness.add_argument("--trials", type=_non_negative_int, default=100)
     soundness.add_argument("--seed", type=int, default=0)
     soundness.add_argument("--tol", type=float, default=1e-9)
-    soundness.add_argument("--max-cond", type=int, default=3)
-    soundness.add_argument("--budget", type=int, default=mk.DEFAULT_JOINT_BUDGET)
+    soundness.add_argument("--max-cond", type=_non_negative_int, default=3)
+    soundness.add_argument("--budget", type=_non_negative_int, default=mk.DEFAULT_JOINT_BUDGET)
     soundness.add_argument("--report")
     soundness.set_defaults(func=_cmd_mc_soundness)
     witness = mc.add_parser("witness")
@@ -345,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     witness.add_argument("--a", required=True)
     witness.add_argument("--b", required=True)
     witness.add_argument("--c", default="")
-    witness.add_argument("--attempts", type=int, default=500)
+    witness.add_argument("--attempts", type=_non_negative_int, default=500)
     witness.add_argument("--threshold", type=float, default=0.01)
     witness.add_argument("--seed", type=int, default=0)
     witness.add_argument("--out")

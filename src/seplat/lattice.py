@@ -141,9 +141,6 @@ class Region:
         # one kind per region, so (a, b) order is the Cell order
         return tuple(c.label for c in sorted(self.cells, key=_coords))
 
-    def literal(self) -> str:
-        return "+".join(self.labels())
-
 
 def parse_region(literal: str) -> Region:
     """Parse a '+'-joined region literal such as "d(0,3)+d(0,4)+d(1,3)"."""
@@ -165,11 +162,11 @@ class ShieldVerdict:
         return self.l1 and self.l2 and self.l3
 
 
-def _require_same_kind(*cells: Cell) -> str:
-    kinds = {c.kind for c in cells}
-    if len(kinds) != 1:
-        raise KindMismatch(f"mixed cell kinds {sorted(kinds)}")
-    return next(iter(kinds))
+def _require_same_kind(x: Cell | Region, y: Cell | Region) -> str:
+    """The common kind of two cells or regions (a region has one kind)."""
+    if x.kind != y.kind:
+        raise KindMismatch(f"mixed cell kinds {sorted((x.kind, y.kind))}")
+    return x.kind
 
 
 def causal_relation(a: Cell, b: Cell) -> str:
@@ -241,31 +238,22 @@ def build_graph(kind: str, window: Window) -> MixedGraph:
         for p in sorted(direct_parents(c)):
             if window.contains(p):
                 directed.append((p.label, c.label))
-        right = Cell(kind, c.a, c.b + 1)
-        if kind == BOX and window.contains(right):
-            bidirected.append((c.label, right.label))
+        for s in spouses(c):
+            if s.b > c.b and window.contains(s):
+                bidirected.append((c.label, s.label))
     return graph_mod.build_graph(vertices, directed, bidirected)
 
 
 def geo_ancestors(c: Cell, window: Window) -> frozenset[Cell]:
     """In-window cells whose region intersects the causal past of c."""
-    out = []
-    if c.kind == DIAMOND:
-        for x in range(window.a_min, min(c.a, window.a_max) + 1):
-            for y in range(window.b_min, min(c.b, window.b_max) + 1):
-                out.append(Cell(DIAMOND, x, y))
-    else:
-        for x in range(window.a_min, min(c.a, window.a_max) + 1):
-            reach = (c.a - x) + 1
-            for y in range(max(window.b_min, c.b - reach),
-                           min(window.b_max, c.b + reach) + 1):
-                out.append(Cell(BOX, x, y))
-    return frozenset(out) - {c}
+    return frozenset(x for x in window.cells(c.kind)
+                     if x != c and (causal_relation(x, c) == PAST_OF_B
+                                    or mutual_past_contact(x, c)))
 
 
 def l1_past(region: Region, cell_a: Cell) -> bool:
     """Every cell of the region lies inside the causal past of cell_a."""
-    _require_same_kind(cell_a, *region.cells)
+    _require_same_kind(region, cell_a)
     if cell_a.kind == DIAMOND:
         return all(c.a <= cell_a.a and c.b <= cell_a.b for c in region.cells)
     return all(c.a < cell_a.a and abs(c.b - cell_a.b) <= cell_a.a - c.a
@@ -300,7 +288,7 @@ def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
     the window (window exit counts as failure).  The walk is a frontier flood
     fill over bitmasks of the cells backward-reachable from cell_a.
     """
-    _require_same_kind(cell_a, *region.cells)
+    _require_same_kind(region, cell_a)
     pos, parent_masks, boundary = _backward_index(cell_a, window)
     blocked = 0
     for c in region.cells:
@@ -322,15 +310,14 @@ def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
 
 
 def _require_spacelike_pair(cell_a: Cell, cell_b: Cell) -> None:
-    _require_same_kind(cell_a, cell_b)
-    if causal_relation(cell_a, cell_b) != SPACELIKE or mutual_past_contact(cell_a, cell_b):
+    if not strictly_spacelike(cell_a, cell_b):
         raise NotSpacelike(f"{cell_a.label} and {cell_b.label} are causally connectable")
 
 
 def l3_region(region: Region, cell_a: Cell, cell_b: Cell, variant: str) -> bool:
     """L3Q: region spacelike from cell_b.  L3C: past of region contains the
     common past of cell_a and cell_b."""
-    _require_same_kind(cell_a, *region.cells)
+    _require_same_kind(region, cell_a)
     _require_spacelike_pair(cell_a, cell_b)
     if variant == L3Q:
         return all(strictly_spacelike(c, cell_b) for c in region.cells)
@@ -426,16 +413,18 @@ def enumerate_shielder_off(cell_a: Cell, cell_b: Cell, window: Window,
     geometric ancestors of cell_a, up to max_cells cells (None: the whole
     pool), in (size, lexicographic) order.
 
-    Raises BudgetExceeded before yielding anything when the candidate count
-    exceeds budget.
+    Raises ValueError for a negative max_cells and BudgetExceeded when the
+    candidate count exceeds budget, both before yielding anything.
     """
     _require_spacelike_pair(cell_a, cell_b)
     pool = sorted(geo_ancestors(cell_a, window))
     if max_cells is None:
         max_cells = len(pool)
-    if candidate_count(len(pool), max_cells) > budget:
-        raise BudgetExceeded(
-            f"{candidate_count(len(pool), max_cells)} candidates exceed budget {budget}")
+    elif max_cells < 0:
+        raise ValueError(f"max_cells must be non-negative, got {max_cells}")
+    count = candidate_count(len(pool), max_cells)
+    if count > budget:
+        raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
     for size in range(1, min(max_cells, len(pool)) + 1):
         for combo in combinations(pool, size):
             region = Region(cell_a.kind, frozenset(combo))
@@ -513,7 +502,8 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     rows = []
     for region, verdict in enumerate_shielder_off(cell_a, cell_b, window,
                                                   variant, max_cells, budget):
-        sep = is_separated(g, SeparationQuery(a, b, region_to_vertexset(region, g)))
-        rows.append(Prop1Row(region.labels(), verdict.l1, verdict.l2, verdict.l3,
+        labels = region.labels()
+        sep = is_separated(g, SeparationQuery(a, b, frozenset(labels)))
+        rows.append(Prop1Row(labels, verdict.l1, verdict.l2, verdict.l3,
                              verdict.shielder_off, sep.separated, sep.witness))
     return Prop1Report(variant, rows)

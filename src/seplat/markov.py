@@ -198,13 +198,12 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     return table
 
 
-def joint(dag: MixedGraph, cpts: CptSet, latent: Iterable[str] = (),
-          budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
+def joint(dag: MixedGraph, cpts: CptSet, latent: Iterable[str] = ()) -> Distribution:
     """Exact joint of a CPT-parameterized DAG; latent vertices are summed out
     of the returned distribution."""
     if dag.bidirected:
         raise ValueError("joint needs a DAG; expand bidirected edges first")
-    return ancestral_margin(dag, cpts, dag.vertices, latent, budget)
+    return ancestral_margin(dag, cpts, dag.vertices, latent)
 
 
 def ancestral_closure(dag: MixedGraph, targets: Iterable[str],
@@ -372,9 +371,7 @@ class LocalCausalityReport:
 def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
                       variant: str, tol: float = 1e-9,
                       probes: Iterable[tuple[lattice_mod.Cell, lattice_mod.Cell]] | None = None,
-                      max_cells: int | None = None,
-                      enum_budget: int = lattice_mod.DEFAULT_ENUM_BUDGET,
-                      joint_budget: int = DEFAULT_JOINT_BUDGET) -> LocalCausalityReport:
+                      max_cells: int | None = None) -> LocalCausalityReport:
     """Screening-off audit: for each spacelike probe pair, every enumerated
     shielder-off region and every positive-probability atom of it, check
     that conditioning factorizes the pair."""
@@ -390,19 +387,19 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
     for cell_a, cell_b in probes:
         a, b = cell_a.label, cell_b.label
         dag.require((a, b))
-        margin = ancestral_margin(dag, cpts, (a, b), latent, joint_budget)
+        margin = ancestral_margin(dag, cpts, (a, b), latent)
         ev_a, ev_b = EventRef.single(a), EventRef.single(b)
         gap = ci_violation(margin, ev_a, ev_b, ())
         probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
         for region, verdict in lattice_mod.enumerate_shielder_off(
-                cell_a, cell_b, window, variant, max_cells, enum_budget):
+                cell_a, cell_b, window, variant, max_cells):
             if not verdict.shielder_off:
                 continue
             labels = region.labels()
             if all(v in margin.vars for v in labels):
                 dist = margin
             else:
-                dist = ancestral_margin(dag, cpts, (a, b) + labels, latent, joint_budget)
+                dist = ancestral_margin(dag, cpts, (a, b) + labels, latent)
             viol, atoms = _ci(dist, ev_a, ev_b, labels)
             probe.checks.append(ScreeningCheck((a, b), labels, atoms, viol,
                                                viol <= tol))
@@ -500,8 +497,7 @@ def _aligned_assignment(g: MixedGraph, dag: MixedGraph, cond: frozenset[str],
 
 
 def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
-                            attempts: int, threshold: float, seed: int,
-                            joint_budget: int = DEFAULT_JOINT_BUDGET) -> CptSet | None:
+                            attempts: int, threshold: float, seed: int) -> CptSet | None:
     """Search for CPTs whose joint violates screening-off by more than
     threshold on some atom of cond.
 
@@ -531,7 +527,7 @@ def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
                 arr = np.clip(base[v] + rng.uniform(-amp, amp, size=shape), 0.05, 0.95)
             tables[v] = VertexCpt(dag.parents_of(v), arr)
         cpts = CptSet(tables)
-        margin = ancestral_margin(dag, cpts, {a, b} | cond, latent, joint_budget)
+        margin = ancestral_margin(dag, cpts, {a, b} | cond, latent)
         if ci_violation(margin, ev_a, ev_b, sorted(cond)) > threshold:
             return cpts
     return None

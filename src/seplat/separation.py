@@ -153,12 +153,14 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     """Decide separation by breadth-first reachability over int states.
 
     State 2*v + head records vertex index v and whether the walk entered it
-    through an arrowhead.  Passage through v is allowed when v acts as a
-    non-collider outside cond, or as a collider in the open-collider mask
-    (the OR of the inclusive ancestor masks of cond).  Moves are tried in
-    incident() order, so the first witness walk found is deterministic; it
-    is spliced down to a simple path.  Runs in O(|V| + |E|) per query and
-    agrees with is_separated_oracle on every input.
+    through an arrowhead.  The FIFO starts from the state of a entered
+    through a tail, from which every move is allowed.  Passage through v is
+    allowed when v acts as a non-collider outside cond, or as a collider in
+    the open-collider mask (the OR of the inclusive ancestor masks of cond).
+    Moves are tried in incident() order, so the first witness walk found is
+    deterministic; it is spliced down to a simple path.  Runs in
+    O(|V| + |E|) per query and agrees with is_separated_oracle on every
+    input.
     """
     index, adjacency, anc = g.index, g.adjacency, g.ancestor_masks
     try:
@@ -171,44 +173,40 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     except KeyError as exc:
         raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
 
-    # prev[state] = (previous state, or -1 at the start, and the edge kind)
-    prev: list[tuple[int, str] | None] = [None] * (2 * len(adjacency))
-    queue: list[int] = []  # FIFO: the loop below reads what it appends
+    # prev[state] = (previous state, edge kind); the start state 2*a enters a
+    # through a tail, so every move out of a is allowed, and it is never
+    # re-entered (a tail re-entry could reach no new state)
+    start = 2 * a
+    prev: list[tuple[int, str | None] | None] = [None] * (2 * len(adjacency))
+    prev[start] = (-1, None)
+    queue = [start]  # FIFO: the loop below reads what it appends
     goal = -1
-    for (nxt, w, kind) in adjacency[a][0]:
-        if prev[nxt] is None:
-            prev[nxt] = (-1, kind)
-            if w == b:
-                goal = nxt
-                break
-            queue.append(nxt)
-    if goal < 0:
-        for state in queue:
-            v = state >> 1
-            bit = 1 << v
-            if state & 1:
-                # entered through a head: leaving through a head makes v a
-                # collider, passable only when open; a conditioned v passes
-                # only as a collider
-                if cond_mask & bit:
-                    moves = adjacency[v][1]
-                elif open_mask & bit:
-                    moves = adjacency[v][0]
-                else:
-                    moves = adjacency[v][2]
-            elif cond_mask & bit:
-                continue
-            else:
+    for state in queue:
+        v = state >> 1
+        bit = 1 << v
+        if state & 1:
+            # entered through a head: leaving through a head makes v a
+            # collider, passable only when open; a conditioned v passes
+            # only as a collider
+            if cond_mask & bit:
+                moves = adjacency[v][1]
+            elif open_mask & bit:
                 moves = adjacency[v][0]
-            for (nxt, w, kind) in moves:
-                if prev[nxt] is None:
-                    prev[nxt] = (state, kind)
-                    if w == b:
-                        goal = nxt
-                        break
-                    queue.append(nxt)
-            if goal >= 0:
-                break
+            else:
+                moves = adjacency[v][2]
+        elif cond_mask & bit:
+            continue
+        else:
+            moves = adjacency[v][0]
+        for (nxt, w, kind) in moves:
+            if prev[nxt] is None:
+                prev[nxt] = (state, kind)
+                if w == b:
+                    goal = nxt
+                    break
+                queue.append(nxt)
+        if goal >= 0:
+            break
     if goal < 0:
         return SeparationVerdict(True, None)
 
@@ -216,7 +214,7 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     verts: list[str] = []
     kinds: list[str] = []
     state = goal
-    while state >= 0:
+    while state != start:
         verts.append(labels[state >> 1])
         state, kind = prev[state]
         kinds.append(kind)

@@ -196,6 +196,20 @@ def test_prop1_verify_max_cells_zero(diamond_file, capsys):
     assert _last_json(capsys)["candidates"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["prop1", "verify", "--a", A, "--b", B, "--max-cells", "-2"],
+    ["prop1", "verify", "--a", A, "--b", B, "--budget", "-1"],
+    ["mc", "local-causality", "--max-cells", "-1"],
+    ["mc", "soundness", "--trials", "-3"],
+    ["mc", "soundness", "--budget", "-1"],
+    ["mc", "soundness", "--max-cond", "-1"],
+    ["mc", "witness", "--a", A, "--b", B, "--c", "d(0,0)+d(0,1)+d(1,0)",
+     "--attempts", "-1"],
+], ids=lambda argv: "_".join(argv[:2] + argv[-2:]))
+def test_negative_counts_exit_2(diamond_file, argv):
+    assert main(argv[:2] + ["--graph", str(diamond_file)] + argv[2:]) == 2
+
+
 def test_mc_soundness(tmp_path, capsys):
     path = tmp_path / "g.json"
     assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "2",

@@ -166,6 +166,8 @@ def test_l2_shields():
     assert not l2_shields(region(d(1, 3)), d(1, 4), DIAMOND_WINDOW)
     assert not l2_shields(region(*(parse_cell(v) for v in LOW_SET)), d(1, 4),
                           DIAMOND_WINDOW)
+    with pytest.raises(KindMismatch):
+        l2_shields(region(b(0, 3)), d(1, 4), DIAMOND_WINDOW)
 
 
 def _l2_cell_walk(region, cell_a, window):
@@ -227,6 +229,10 @@ def test_l3_region_diamond():
     assert not l3_region(region(d(1, 0)), d(1, 4), d(4, 1), L3Q)
     with pytest.raises(NotSpacelike):
         l3_region(region(d(0, 0)), d(1, 1), d(2, 2), L3C)
+    with pytest.raises(KindMismatch):
+        l3_region(region(b(0, 3)), d(1, 4), d(4, 1), L3Q)
+    with pytest.raises(KindMismatch):
+        l3_region(region(d(0, 3)), d(1, 4), b(4, 1), L3C)
 
 
 def test_l3_region_box():
@@ -318,6 +324,35 @@ def test_box_l3c_matches_exact_containment(case):
         cells, cell_a, cell_b)
 
 
+def _meets_past(x, c):
+    """Does the unit square of cell x meet the causal past of cell c?"""
+    if c.kind == DIAMOND:
+        return x.a <= c.a and x.b <= c.b
+    # the cone widens going down, so the square's two lower corners decide
+    t = x.a + Fraction(1, 8)
+    return any(_in_past(c, t, x.b + dx) for dx in (Fraction(1, 8), Fraction(7, 8)))
+
+
+@st.composite
+def geo_cases(draw):
+    kind = draw(st.sampled_from((DIAMOND, BOX)))
+    a_min, b_min = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    window = Window(a_min, a_min + draw(st.integers(0, 6)),
+                    b_min, b_min + draw(st.integers(0, 6)))
+    # the cell may sit inside, on or up to two cells outside the window edge
+    c = Cell(kind, draw(st.integers(window.a_min - 2, window.a_max + 2)),
+             draw(st.integers(window.b_min - 2, window.b_max + 2)))
+    return c, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(geo_cases())
+def test_geo_ancestors_match_past_cone(case):
+    c, window = case
+    expected = {x for x in window.cells(c.kind) if x != c and _meets_past(x, c)}
+    assert geo_ancestors(c, window) == expected
+
+
 def test_shielder_off_fixture_regions():
     par = region(*(parse_cell(v) for v in PAR_A))
     verdict = shielder_off(par, d(1, 4), d(4, 1), L3C, DIAMOND_WINDOW)
@@ -350,6 +385,8 @@ def test_enumerate_shielder_off_counts():
     assert tuple(sorted(STAIRCASE)) in so
     assert len(so) >= 2
     assert list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 0)) == []
+    with pytest.raises(ValueError):
+        list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, -1))
     with pytest.raises(BudgetExceeded):
         list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 9,
                                     budget=100))
