@@ -22,6 +22,12 @@ CANONICAL_CSV_SHA256 = {
 }
 
 
+# `mc soundness --trials 40 --seed 0 --max-cond 6` on the 6x6 diamond: its one
+# checked trial prints an exact max_violation, so any change to the bits of
+# the CI arithmetic shows here.
+MC_SOUNDNESS_SHA256 = "64a11f7edea71207a0bd824d3a023bd54ff917bd296369e958a32971d0e98f1d"
+
+
 @pytest.fixture()
 def diamond_file(tmp_path):
     path = tmp_path / "g.json"
@@ -225,6 +231,16 @@ def test_mc_soundness(tmp_path, capsys):
     assert lines[0] == "query;atoms_checked;max_violation;verdict"
     assert len(lines) == 81
     assert any(";ci" in ln for ln in lines[1:])
+
+
+def test_mc_soundness_pinned(diamond_file, tmp_path, capsys):
+    report = tmp_path / "mc.csv"
+    assert main(["mc", "soundness", "--graph", str(diamond_file), "--trials", "40",
+                 "--seed", "0", "--max-cond", "6", "--report", str(report)]) == 0
+    assert _last_json(capsys) == {"trials": 40, "checked": 1, "skipped": 39,
+                                  "max_violation": 1.7763568394002505e-15,
+                                  "violations": [], "report": str(report)}
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == MC_SOUNDNESS_SHA256
 
 
 def test_mc_soundness_builds_margins_only_for_checked_trials(tmp_path, capsys, monkeypatch):

@@ -150,10 +150,29 @@ def test_event_ref_validation():
 
 
 def test_distribution_validation():
+    for table in ([0.6, 0.6], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            Distribution(("a",), np.array(table))
     with pytest.raises(ValueError):
-        Distribution(("a",), np.array([0.6, 0.6]))
+        Distribution(("a", "a"), np.full((2, 2), 0.25))
     with pytest.raises(UnknownVertex):
         Distribution(("a",), np.array([0.5, 0.5])).marginal(("zz",))
+
+
+def test_marginal_comes_back_in_sorted_order():
+    m = Distribution(("b", "a"), [[0.0, 0.5], [0.0, 0.5]]).marginal(("a", "b"))
+    assert m.vars == ("a", "b")
+    assert np.array_equal(m.table, [[0.0, 0.0], [0.5, 0.5]])
+    # the same joint stored in two variable orders gives the same CI gap
+    rng = np.random.default_rng(5)
+    table = rng.uniform(0.05, 1.0, size=(2, 2, 2))
+    table /= table.sum()
+    abc = Distribution(("a", "b", "c"), table)
+    cab = Distribution(("c", "a", "b"), np.transpose(table, (2, 0, 1)))
+    ea, eb = EventRef.single("a"), EventRef.single("b")
+    assert ci_violation(cab, ea, eb, ("c",)) == pytest.approx(
+        ci_violation(abc, ea, eb, ("c",)), abs=1e-15)
+    assert np.array_equal(cab.marginal(("b", "c")).table, abc.marginal(("b", "c")).table)
 
 
 def test_check_cmc_lattice_joint(diamond3):
@@ -228,3 +247,29 @@ def test_is_locally_causal_small_windows():
         assert rep.locally_causal
         assert rep.probes[0].regions_checked > 0
         assert rep.probes[0].atoms_checked > 0
+
+
+@pytest.mark.parametrize("p1", [
+    {"1": 0.7},                               # missing row
+    {"0": 0.2, "1": 0.7, "10": 0.5},          # extra key
+    {"00": 0.2, "01": 0.7},                   # keys of the wrong length
+    {"0": 0.2, "x": 0.7},                     # not a bit string
+    {"0": "0.2", "1": 0.7},                   # not a number
+    {"0": True, "1": 0.7},
+    {"0": float("nan"), "1": 0.7},
+    {"0": 0.2, "1": 1.5},
+])
+def test_cpt_json_rejects_malformed_rows(p1):
+    doc = {"a": {"parents": [], "p1": {"": 0.5}}, "b": {"parents": ["a"], "p1": p1}}
+    with pytest.raises(ValueError):
+        CptSet.from_json_dict(doc)
+
+
+def test_vertex_cpt_validation():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            VertexCpt(("a",), np.array([0.5, bad]))
+    # p1 axes follow sorted parent labels; ("b", "a") would silently swap them
+    for parents in (("b", "a"), ("a", "a")):
+        with pytest.raises(ValueError):
+            VertexCpt(parents, np.full((2, 2), 0.5))
