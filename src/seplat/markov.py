@@ -262,22 +262,69 @@ def random_cpts(g: MixedGraph, seed: int) -> CptSet:
     return CptSet(tables)
 
 
+# Joint kernel.  A product that brings in a new last axis expands its factor
+# over the last (up to) this many axes of the old table, so the inner loop of
+# np.multiply runs over contiguous blocks instead of 2-element rows.
+_FOLD_BLOCK_AXES = 9
+
+
+def _fold_new_last_axis(table: np.ndarray, axis: int, scope: list[int],
+                        parents: list[int], halves: tuple) -> np.ndarray:
+    """The product of table (size-2 axes: scope) with the factor of the
+    vertex at axis, which follows every axis of the scope and whose parents
+    lie in it.  halves are the factor for the vertex's values 0 and 1."""
+    k = len(scope)
+    old = table.reshape((2,) * k)
+    shape = list(table.shape)
+    shape[axis] = 2
+    new = np.empty(shape)
+    out = new.reshape((2,) * (k + 1))
+    start = max(0, k - _FOLD_BLOCK_AXES)
+    fshape = [2 if a in parents else 1 for a in scope]
+    block = fshape[:start] + [2] * (k - start)
+    for value, half in enumerate(halves):
+        factor = np.broadcast_to(half.reshape(fshape), block).copy()
+        np.multiply(old, factor, out=out[..., value])
+    return new
+
+
 def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
-    missing = [v for v in verts if v not in cpts.tables]
-    if missing:
-        raise UnknownVertex(f"no CPT for vertices {missing}")
+    """Dense joint over verts, which must be sorted, one axis per vertex.
+
+    Every atom is 1.0 * f_1 * f_2 * ... * f_n, multiplied left to right with
+    the CPT factors in sorted-vertex order: the bits of np.ones((2,)*n)
+    multiplied by each broadcast factor in turn.  The factors are folded
+    into a table whose scope grows; a vertex no factor has reached yet is a
+    size-1 axis, so step k costs 2^|scope_k| atoms, not 2^n.
+
+    When the vertex is new and follows every axis of the scope, and its
+    parents are in the scope (every step of a topological order), the new
+    table is written as its two halves, one np.multiply per value of the
+    vertex, over contiguous blocks of 2^9 old atoms.  Peak memory is then
+    the old table plus the new one, 1.5 times the final table, plus factor
+    blocks of 2^(9 + parents) atoms.  Any other step (a parent outside the
+    scope, which an order that is not topological allows) is a broadcast
+    product, done in place when the scope does not grow.
+    """
     pos = {v: i for i, v in enumerate(verts)}
-    table = np.ones((2,) * len(verts))
+    table = np.ones((1,) * len(verts))
     for v in verts:
         cpt = cpts.tables[v]
-        for p in cpt.parents:
-            if p not in pos:
-                raise UnknownVertex(f"CPT parent {p!r} outside the joint scope")
-        fvars = sorted((v,) + cpt.parents)
-        stack_axis = fvars.index(v)
-        factor = np.stack([1.0 - cpt.p1, cpt.p1], axis=stack_axis)
-        shape = tuple(2 if name in fvars else 1 for name in verts)
-        table = table * factor.reshape(shape)
+        axis = pos[v]
+        parents = [pos[p] for p in cpt.parents]
+        scope = [i for i, size in enumerate(table.shape) if size == 2]
+        halves = (1.0 - cpt.p1, cpt.p1)
+        parents_in_scope = set(parents) <= set(scope)
+        if parents_in_scope and axis > max(scope, default=-1):
+            table = _fold_new_last_axis(table, axis, scope, parents, halves)
+            continue
+        factor = np.stack(halves, axis=sum(p < axis for p in parents))
+        factor = factor.reshape([2 if i == axis or i in parents else 1
+                                 for i in range(len(verts))])
+        if axis in scope and parents_in_scope:
+            np.multiply(table, factor, out=table)
+        else:
+            table = table * factor
     return table
 
 
@@ -307,9 +354,18 @@ def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
                      budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
     """Exact marginal over the observed part of the ancestral closure of the
     targets.  Vertices outside the closure are barren and never enumerated,
-    which keeps large lattice graphs within the budget."""
+    which keeps large lattice graphs within the budget.  Every closure
+    vertex needs a CPT (UnknownVertex) that lists exactly its parents in
+    the graph (ValueError)."""
     closure = ancestral_closure(dag, targets, budget)
     verts = tuple(sorted(closure))
+    missing = [v for v in verts if v not in cpts.tables]
+    if missing:
+        raise UnknownVertex(f"no CPT for vertices {missing}")
+    for v in verts:
+        if cpts.tables[v].parents != dag.parents_of(v):
+            raise ValueError(f"CPT of {v!r} lists parents {list(cpts.tables[v].parents)}, "
+                             f"the graph gives {list(dag.parents_of(v))}")
     table = _tensor_joint(verts, cpts)
     latent = frozenset(latent) & closure
     if latent:

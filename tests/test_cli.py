@@ -89,6 +89,18 @@ def test_sep_check_verdicts(diamond_file, capsys):
                  "--a", "d(9,9)", "--b", B]) == 2
 
 
+def test_python_m_seplat_runs_the_cli(diamond_file):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "seplat", "sep", "check",
+                           "--graph", str(diamond_file), "--a", A, "--b", B,
+                           "--c", "d(0,0)+d(0,1)+d(1,0)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert not out["separated"] and out["witness"].startswith("d(1,4)")
+
+
 def test_sep_check_oracle_flag(diamond_file, capsys):
     code = main(["sep", "check", "--graph", str(diamond_file), "--a", A, "--b", B,
                  "--c", "d(0,3)+d(0,4)+d(1,3)", "--oracle"])

@@ -114,6 +114,16 @@ def test_missing_cpt_raises_unknown_vertex():
         ancestral_margin(g, cpts, ("b",))
 
 
+def test_cpt_parents_must_match_the_graph():
+    # c is isolated in the graph, but its CPT conditions on b
+    g = build_graph({"a", "b", "c"}, [("a", "b")])
+    cpts = cpts_of(a=((), 0.3), b=(("a",), [0.2, 0.9]), c=(("b",), [0.1, 0.8]))
+    with pytest.raises(ValueError, match="parents"):
+        joint(g, cpts)
+    with pytest.raises(ValueError, match="parents"):
+        ancestral_margin(g, cpts, ("c",))
+
+
 def test_joint_marginalizes_latents(box3):
     dag, latent = latent_expansion(box3)
     d = joint(dag, random_cpts(dag, 11), latent)
