@@ -264,7 +264,7 @@ def random_cpts(g: MixedGraph, seed: int) -> CptSet:
 
 # Joint kernel.  A product that brings in a new last axis expands its factor
 # over the last (up to) this many axes of the old table, so the inner loop of
-# np.multiply runs over contiguous blocks instead of 2-element rows.
+# np.multiply runs over blocks of up to 2^9 atoms instead of 2-element rows.
 _FOLD_BLOCK_AXES = 9
 
 
@@ -298,13 +298,16 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     size-1 axis, so step k costs 2^|scope_k| atoms, not 2^n.
 
     When the vertex is new and follows every axis of the scope, and its
-    parents are in the scope (every step of a topological order), the new
-    table is written as its two halves, one np.multiply per value of the
-    vertex, over contiguous blocks of 2^9 old atoms.  Peak memory is then
-    the old table plus the new one, 1.5 times the final table, plus factor
-    blocks of 2^(9 + parents) atoms.  Any other step (a parent outside the
-    scope, which an order that is not topological allows) is a broadcast
-    product, done in place when the scope does not grow.
+    parents are in the scope (every step of a topological order, such as
+    diamond labels with coordinates below 10), the new table is written as
+    its two halves, one np.multiply per value of the vertex, each reading
+    the old table and a factor block expanded over its last 9 axes, so the
+    inner loop runs over 2^9 atoms; the halves are stride-2 views of the
+    new table.  Peak memory is then the old table plus the new one, 1.5
+    times the final table, plus factor blocks of 2^(9 + parents) atoms.
+    Any other step (a parent outside the scope, which an order that is not
+    topological allows: box latents sort after their children) is a
+    broadcast product, done in place when the scope does not grow.
     """
     pos = {v: i for i, v in enumerate(verts)}
     table = np.ones((1,) * len(verts))
@@ -516,9 +519,6 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
     that conditioning factorizes the pair."""
     g = lattice_mod.build_graph(kind, window)
     dag, latent = latent_expansion(g)
-    missing = [v for v in dag.vertices if v not in cpts.tables]
-    if missing:
-        raise UnknownVertex(f"no CPT for vertices {missing}")
     if probes is None:
         probes = [lattice_mod.canonical_probe_pair(kind, window)]
 

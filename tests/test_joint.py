@@ -1,7 +1,9 @@
 """The joint kernel of seplat.markov against the dense product it replaced:
 np.ones((2,)*n) multiplied by each broadcast CPT factor in sorted-vertex
 order.  The fold must give the same bits on every atom, and on a topological
-label order its peak memory must stay near the old table plus the new one."""
+label order its peak memory must stay near the old table plus the new one,
+and on box latents, which sort after their children, the in-place step
+must keep it there too."""
 
 import tracemalloc
 
@@ -13,6 +15,8 @@ from hypothesis import assume, given, settings
 from seplat import markov
 from seplat.cli import main
 from seplat.graph import build_graph
+from seplat.lattice import BOX, Window, canonical_probe_pair
+from seplat.lattice import build_graph as build_lattice_graph
 from seplat.random_graphs import random_dag, random_mixed_graph
 
 
@@ -75,6 +79,28 @@ def test_fold_broadcasts_when_a_parent_sorts_later(monkeypatch):
     monkeypatch.setattr(markov, "_fold_new_last_axis", record)
     assert_same_bits(dag, markov.random_cpts(dag, 5))
     assert folded == [3]
+
+
+def test_box_latents_multiply_in_place():
+    # box latents lat(...) sort after their b(...) children, so each child's
+    # step brings a latent axis in by broadcast and the latent's own factor
+    # then multiplies the full-scope table in place: no second table
+    window = Window(0, 2, 0, 8)
+    dag, latent = markov.latent_expansion(build_lattice_graph(BOX, window))
+    a, b = canonical_probe_pair(BOX, window)
+    verts = tuple(sorted(markov.ancestral_closure(dag, (a.label, b.label))))
+    assert len(verts) == 20 and verts[-1] in latent
+    cpts = markov.random_cpts(dag, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = markov._tensor_joint(verts, cpts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == dense_joint(verts, cpts).tobytes()
+    # a fresh product per latent step needs 2x
+    assert peak < 1.6 * table.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,12 @@ def test_is_locally_causal_small_windows():
         assert rep.locally_causal
         assert rep.probes[0].regions_checked > 0
         assert rep.probes[0].atoms_checked > 0
+    # a CPT missing from a probe's ancestral closure is named by ancestral_margin
+    cpts = random_cpts(dag, 2)
+    probe = rep.probes[0].a
+    without = CptSet({v: t for v, t in cpts.tables.items() if v != probe})
+    with pytest.raises(UnknownVertex, match=re.escape(probe)):
+        is_locally_causal(BOX, Window(0, 2, 0, 8), without, "l3c")
 
 
 @pytest.mark.parametrize("p1", [
