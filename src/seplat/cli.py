@@ -12,6 +12,7 @@ import csv
 import json
 import random
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import lattice as lat
@@ -291,6 +292,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@cache  # built once; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seplat")
     top = parser.add_subparsers(dest="group", required=True)

@@ -19,6 +19,14 @@ A region C is shielder-off for a probe cell A relative to B when
       reaching a cell with an out-of-window parent), and
   L3: either every cell of C is spacelike from B (variant "l3q") or the
       causal past of C contains the common past of A and B ("l3c").
+
+L1 and L3C are decided exactly in integer light-cone coordinates.  The
+causal past of a cell is the cone {u < U, v < V, u + v < S}, with (U, V, S)
+= (i+1, j+1, i+j+2) for d(i,j) and (k+1-m, k+m+2, 2k+2) for b(k,m).  L1:
+every other cell's U and V are at most A's.  L3C: the common past of
+spacelike A and B is the quadrant {u < U*, v < V*} of the minima, whose top
+face is its apex; a cone covers the points just below the apex iff U >= U*,
+V >= V* and S >= U* + V*, and then it contains the whole quadrant.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, floor
+from math import comb
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -64,6 +72,14 @@ class Cell:
     @cached_property
     def label(self) -> str:
         return f"{_PREFIX[self.kind]}({self.a},{self.b})"
+
+    @cached_property
+    def cone(self) -> tuple[int, int, int]:
+        """(U, V, S): the causal past is {u < U, v < V, u + v < S} in
+        light-cone coordinates (u, v) = (t - x, t + x)."""
+        if self.kind == DIAMOND:
+            return self.a + 1, self.b + 1, self.a + self.b + 2
+        return self.a + 1 - self.b, self.a + self.b + 2, 2 * self.a + 2
 
 
 _coords = attrgetter("a", "b")
@@ -252,12 +268,14 @@ def geo_ancestors(c: Cell, window: Window) -> frozenset[Cell]:
 
 
 def l1_past(region: Region, cell_a: Cell) -> bool:
-    """Every cell of the region lies inside the causal past of cell_a."""
+    """Every cell of the region lies inside the causal past of cell_a: its
+    cone is nested in cell_a's (U and V at most cell_a's), and it is not
+    cell_a itself."""
     _require_same_kind(region, cell_a)
-    if cell_a.kind == DIAMOND:
-        return all(c.a <= cell_a.a and c.b <= cell_a.b for c in region.cells)
-    return all(c.a < cell_a.a and abs(c.b - cell_a.b) <= cell_a.a - c.a
-               for c in region.cells)
+    if cell_a in region.cells:
+        return False
+    ua, va, _ = cell_a.cone
+    return all(c.cone[0] <= ua and c.cone[1] <= va for c in region.cells)
 
 
 @lru_cache(maxsize=64)
@@ -316,67 +334,21 @@ def _require_spacelike_pair(cell_a: Cell, cell_b: Cell) -> None:
 
 def l3_region(region: Region, cell_a: Cell, cell_b: Cell, variant: str) -> bool:
     """L3Q: region spacelike from cell_b.  L3C: past of region contains the
-    common past of cell_a and cell_b."""
+    common past of cell_a and cell_b, the quadrant {u < U*, v < V*} of the
+    probes' minimal cone sides (S* >= U* + V* for spacelike probes: diamonds
+    have S = U + V, boxes |dm| >= |dk| + 2).  Its top face is the apex, and a
+    cone covers the points just below it iff U >= U*, V >= V*, S >= U* + V*,
+    which makes it contain the whole quadrant."""
     _require_same_kind(region, cell_a)
     _require_spacelike_pair(cell_a, cell_b)
     if variant == L3Q:
         return all(strictly_spacelike(c, cell_b) for c in region.cells)
     if variant != L3C:
         raise ValueError(f"unknown L3 variant {variant!r}")
-    if cell_a.kind == DIAMOND:
-        # The common past is the quadrant below (min i, min j); covering its
-        # apex corner forces a single dominating cell, which then covers all.
-        ia, ja = min(cell_a.a, cell_b.a), min(cell_a.b, cell_b.b)
-        return any(c.a >= ia and c.b >= ja for c in region.cells)
-    return _box_l3c(region, cell_a, cell_b)
-
-
-def _box_l3c(region: Region, cell_a: Cell, cell_b: Cell) -> bool:
-    """Raster containment test for the box variant of L3C.
-
-    All region boundaries lie on lines t = n, x - t = n, x + t = n, so
-    membership is constant on the faces of that line arrangement.  A
-    quarter-step grid offset by (1/8, 1/16) never hits a boundary and puts
-    at least one sample in every face.  All cones expand at unit rate going
-    down and more of them become active, so a row of the common past that
-    is covered stays covered below; an uncovered pocket therefore reaches
-    up to the apex, and sampling the band [min(min cell row of C, apex) - 2,
-    apex] decides containment exactly.
-    """
-    ka, ma = cell_a.a, cell_a.b
-    kb, mb = cell_b.a, cell_b.b
-    cones = sorted(map(_coords, region.cells))
-    apex = min(ka + 1.0, kb + 1.0,
-               (mb - ma + ka + kb + 3) / 2.0,
-               (ma - mb + ka + kb + 3) / 2.0)
-    left_c = max(ma - ka - 1, mb - kb - 1)
-    right_c = min(ma + ka + 2, mb + kb + 2)
-    # A single cone whose boundary lines flank the common past's and which
-    # stays active up to the apex covers everything (all edges expand at
-    # unit rate), so no sampling is needed.
-    for k, m in cones:
-        if m - k - 1 <= left_c and m + k + 2 >= right_c and k + 1 >= apex:
-            return True
-    t_lo = min(min(k for k, _ in cones), apex) - 2
-    # scan downward from the apex: uncovered pockets sit at the top
-    t = t_lo + 0.125 + 0.25 * floor((apex - (t_lo + 0.125)) / 0.25)
-    if t >= apex:
-        t -= 0.25
-    while t > t_lo:
-        p_left = t + left_c
-        p_right = -t + right_c
-        if p_left < p_right:
-            # first grid point 1/16 + n/4 strictly above p_left
-            x = 0.0625 + 0.25 * (floor((p_left - 0.0625) / 0.25) + 1)
-            while x < p_right:
-                for k, m in cones:
-                    if t < k + 1 and (m - k - 1) + t < x < (m + k + 2) - t:
-                        break
-                else:
-                    return False
-                x += 0.25
-        t -= 0.25
-    return True
+    u_top = min(cell_a.cone[0], cell_b.cone[0])
+    v_top = min(cell_a.cone[1], cell_b.cone[1])
+    return any(u >= u_top and v >= v_top and s >= u_top + v_top
+               for u, v, s in (c.cone for c in region.cells))
 
 
 def shielder_off(region: Region, cell_a: Cell, cell_b: Cell, variant: str,

@@ -154,6 +154,16 @@ def test_shield_check(diamond_file, capsys):
                  "--b", B, "--region", "d(1,4)+d(0,3)"]) == 2
 
 
+def test_main_calls_share_no_options(diamond_file, capsys):
+    # d(1,1) covers the common past (L3C) but lies in the past of B (not L3Q)
+    argv = ["shield", "check", "--graph", str(diamond_file), "--a", A, "--b", B,
+            "--region", "d(1,1)"]
+    main(argv + ["--variant", "l3q"])
+    assert not _last_json(capsys)["l3"]
+    main(argv)
+    assert _last_json(capsys)["l3"]
+
+
 def test_lattice_document_must_match_window(diamond_file, tmp_path, capsys):
     doc = json.loads(diamond_file.read_text())
     doc["directed"].remove(["d(1,3)", "d(1,4)"])

@@ -154,6 +154,9 @@ def test_l1_past():
     assert not l1_past(region(d(2, 3)), d(1, 4))
     assert not l1_past(region(b(2, 2)), b(3, 0))
     assert l1_past(region(b(2, 1)), b(3, 0))
+    # a cell is not inside its own past, for either kind
+    assert not l1_past(region(d(0, 3), d(1, 4)), d(1, 4))
+    assert not l1_past(region(b(3, 0)), b(3, 0))
     with pytest.raises(KindMismatch):
         l1_past(region(d(0, 0)), b(1, 1))
 
@@ -238,11 +241,13 @@ def test_l3_region_diamond():
 def test_l3_region_box():
     # a single cone flanking the common past suffices
     assert l3_region(region(b(3, 3)), b(4, 2), b(4, 6), L3C)
-    # the row-2 wall stops short of the apex band
+    # the row-2 cones all stop below the apex of the common past
     assert not l3_region(region(b(2, 0), b(2, 1), b(2, 2), b(2, 3), b(2, 4)),
                          b(4, 2), b(4, 6), L3C)
-    # two cones that only jointly cover the common past
+    # b(3,4) alone covers the common past; b(3,2) alone misses its apex
     assert l3_region(region(b(3, 2), b(3, 4)), b(4, 2), b(4, 6), L3C)
+    assert l3_region(region(b(3, 4)), b(4, 2), b(4, 6), L3C)
+    assert not l3_region(region(b(3, 2)), b(4, 2), b(4, 6), L3C)
     assert l3_region(region(b(3, 1)), b(4, 2), b(4, 6), L3Q)
     assert not l3_region(region(b(3, 5)), b(4, 2), b(4, 6), L3Q)  # past of B
 
@@ -318,10 +323,88 @@ def box_l3c_cases(draw):
 @given(box_l3c_cases())
 # a common past whose apex lies more than two rows below the region
 @example(({b(3, 10)}, b(4, 0), b(2, 8)))
+# a one-point top face that the cone of b(4,2) misses
+@example(({b(4, 2)}, b(5, 3), b(6, 7)))
+# two cones whose edges meet at the one-point top face
+@example(({b(3, 3), b(3, 5)}, b(4, 2), b(4, 6)))
 def test_box_l3c_matches_exact_containment(case):
     cells, cell_a, cell_b = case
     assert l3_region(region(*cells), cell_a, cell_b, L3C) == _exact_box_l3c(
         cells, cell_a, cell_b)
+
+
+def _in_quadrant(cell, u, v):
+    # the causal past of d(i,j) is {(u,v): u < i+1, v < j+1}
+    return u < cell.a + 1 and v < cell.b + 1
+
+
+def _exact_diamond_l3c(cells, a, b, depth=2):
+    """Does the union of the cells' past quadrants contain the common past of
+    a and b?  Every quadrant edge is an integer line, so each unit square of
+    the common past lies wholly inside or outside each quadrant, and its
+    centre decides.  Rows at or below the lowest cell row look alike (every
+    quadrant admits them), and so do such columns, so the squares from
+    `depth` rows and columns below that down to the apex decide."""
+    i_top, j_top = min(a.a, b.a), min(a.b, b.b)
+    half = Fraction(1, 2)
+    return all(any(_in_quadrant(c, i + half, j + half) for c in cells)
+               for i in range(min(i_top, *(c.a for c in cells)) - depth, i_top + 1)
+               for j in range(min(j_top, *(c.b for c in cells)) - depth, j_top + 1))
+
+
+@st.composite
+def diamond_l3c_cases(draw):
+    ia, ja = draw(st.integers(0, 5)), draw(st.integers(2, 7))
+    cell_a = d(ia, ja)
+    cell_b = d(ia + draw(st.integers(1, 5)), ja - draw(st.integers(1, 5)))  # spacelike
+    if draw(st.booleans()):
+        cell_a, cell_b = cell_b, cell_a
+    # cells from three steps below the common past's apex to above both probes
+    i_top, j_top = min(cell_a.a, cell_b.a), min(cell_a.b, cell_b.b)
+    i_hi, j_hi = max(cell_a.a, cell_b.a) + 1, max(cell_a.b, cell_b.b) + 1
+    cells = draw(st.sets(st.builds(d, st.integers(i_top - 3, i_hi),
+                                   st.integers(j_top - 3, j_hi)),
+                         min_size=1, max_size=5))
+    return cells, cell_a, cell_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(diamond_l3c_cases())
+# two quadrants that each reach past one edge of the common past but leave
+# the square below its apex uncovered
+@example(({d(0, 3), d(3, 0)}, d(1, 4), d(4, 1)))
+# a quadrant that overhangs the common past in i but falls short in j
+@example(({d(5, 0)}, d(1, 4), d(4, 1)))
+def test_diamond_l3c_matches_exact_containment(case):
+    cells, cell_a, cell_b = case
+    assert l3_region(region(*cells), cell_a, cell_b, L3C) == _exact_diamond_l3c(
+        cells, cell_a, cell_b)
+
+
+@st.composite
+def l1_cases(draw):
+    kind = draw(st.sampled_from((DIAMOND, BOX)))
+    cell_a = Cell(kind, draw(st.integers(-2, 4)), draw(st.integers(-2, 4)))
+    near = st.builds(Cell, st.just(kind), st.integers(cell_a.a - 4, cell_a.a + 1),
+                     st.integers(cell_a.b - 5, cell_a.b + 5))
+    return Region(kind, frozenset(draw(st.sets(near, min_size=1, max_size=4)))), cell_a
+
+
+def _square_in_past(x, cell_a):
+    """Does the closed unit square of cell x lie in the closure of the causal
+    past of cell_a?  Both are convex, so its four corners decide."""
+    corners = [(x.a + da, x.b + db) for da in (0, 1) for db in (0, 1)]
+    if x.kind == DIAMOND:
+        return all(u <= cell_a.a + 1 and v <= cell_a.b + 1 for u, v in corners)
+    return all(_in_past_closure(cell_a, t, xx) for t, xx in corners)
+
+
+@settings(max_examples=300, deadline=None)
+@given(l1_cases())
+def test_l1_past_matches_first_principles(case):
+    reg, cell_a = case
+    expected = all(c != cell_a and _square_in_past(c, cell_a) for c in reg.cells)
+    assert l1_past(reg, cell_a) == expected
 
 
 def _meets_past(x, c):
