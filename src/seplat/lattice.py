@@ -27,6 +27,14 @@ every other cell's U and V are at most A's.  L3C: the common past of
 spacelike A and B is the quadrant {u < U*, v < V*} of the minima, whose top
 face is its apex; a cone covers the points just below the apex iff U >= U*,
 V >= V* and S >= U* + V*, and then it contains the whole quadrant.
+
+L1 and L3 are thus per-cell rules: L1 and L3Q hold when every cell passes,
+L3C when some cell does.  A sweep takes each pool cell's verdicts once, as
+bits of a fail mask over pool indices, and a candidate is the int mask of
+its cells, so each rule is one mask test.  L2 is a flood fill over
+bitmasks of the cells backward-reachable from A, blocked by the OR of the
+candidate's bits there.  The public predicates apply the same per-cell
+rules and flood fill to a Region.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
@@ -267,15 +275,21 @@ def geo_ancestors(c: Cell, window: Window) -> frozenset[Cell]:
                                     or mutual_past_contact(x, c)))
 
 
-def l1_past(region: Region, cell_a: Cell) -> bool:
-    """Every cell of the region lies inside the causal past of cell_a: its
-    cone is nested in cell_a's (U and V at most cell_a's), and it is not
+def _l1_rule(cell_a: Cell) -> Callable[[Cell], bool]:
+    """Per-cell L1: the cell lies inside the causal past of cell_a, that is
+    its cone is nested in cell_a's (U and V at most cell_a's) and it is not
     cell_a itself."""
-    _require_same_kind(region, cell_a)
-    if cell_a in region.cells:
-        return False
     ua, va, _ = cell_a.cone
-    return all(c.cone[0] <= ua and c.cone[1] <= va for c in region.cells)
+
+    def inside(c: Cell) -> bool:
+        return c != cell_a and c.cone[0] <= ua and c.cone[1] <= va
+    return inside
+
+
+def l1_past(region: Region, cell_a: Cell) -> bool:
+    """Every cell of the region lies inside the causal past of cell_a."""
+    _require_same_kind(region, cell_a)
+    return all(map(_l1_rule(cell_a), region.cells))
 
 
 @lru_cache(maxsize=64)
@@ -298,21 +312,19 @@ def _backward_index(cell_a: Cell, window: Window
     return pos, parent_masks, boundary
 
 
-def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
-    """Discrete domain-of-dependence test.
-
-    Walk backward from cell_a through in-window parents, never entering the
-    region; the region shields iff no reachable cell has a parent outside
-    the window (window exit counts as failure).  The walk is a frontier flood
-    fill over bitmasks of the cells backward-reachable from cell_a.
-    """
-    _require_same_kind(region, cell_a)
-    pos, parent_masks, boundary = _backward_index(cell_a, window)
+def _blocked_mask(pos: dict[tuple[int, int], int], cells: Iterable[Cell]) -> int:
+    """Backward-index bits of the cells; a cell the walk never reaches has none."""
     blocked = 0
-    for c in region.cells:
+    for c in cells:
         i = pos.get((c.a, c.b))
         if i is not None:
             blocked |= 1 << i
+    return blocked
+
+
+def _shields(blocked: int, parent_masks: tuple[int, ...], boundary: int) -> bool:
+    """Frontier flood fill from bit 0 through parent masks, never entering
+    the blocked bits: True iff it reaches no boundary cell."""
     seen = frontier = 1
     while frontier:
         if frontier & boundary:
@@ -327,28 +339,56 @@ def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
     return True
 
 
+def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
+    """Discrete domain-of-dependence test.
+
+    Walk backward from cell_a through in-window parents, never entering the
+    region; the region shields iff no reachable cell has a parent outside
+    the window (window exit counts as failure).  The walk is a frontier flood
+    fill over bitmasks of the cells backward-reachable from cell_a.
+    """
+    _require_same_kind(region, cell_a)
+    pos, parent_masks, boundary = _backward_index(cell_a, window)
+    return _shields(_blocked_mask(pos, region.cells), parent_masks, boundary)
+
+
 def _require_spacelike_pair(cell_a: Cell, cell_b: Cell) -> None:
     if not strictly_spacelike(cell_a, cell_b):
         raise NotSpacelike(f"{cell_a.label} and {cell_b.label} are causally connectable")
 
 
-def l3_region(region: Region, cell_a: Cell, cell_b: Cell, variant: str) -> bool:
-    """L3Q: region spacelike from cell_b.  L3C: past of region contains the
-    common past of cell_a and cell_b, the quadrant {u < U*, v < V*} of the
-    probes' minimal cone sides (S* >= U* + V* for spacelike probes: diamonds
-    have S = U + V, boxes |dm| >= |dk| + 2).  Its top face is the apex, and a
-    cone covers the points just below it iff U >= U*, V >= V*, S >= U* + V*,
-    which makes it contain the whole quadrant."""
-    _require_same_kind(region, cell_a)
-    _require_spacelike_pair(cell_a, cell_b)
+def _l3_rule(cell_a: Cell, cell_b: Cell, variant: str
+             ) -> tuple[Callable[[Cell], bool], bool]:
+    """(per-cell L3 test, whether every region cell must pass it).
+
+    L3Q: every cell is strictly spacelike from cell_b.  L3C: some cell's
+    past contains the common past of cell_a and cell_b, the quadrant
+    {u < U*, v < V*} of the probes' minimal cone sides (S* >= U* + V* for
+    spacelike probes: diamonds have S = U + V, boxes |dm| >= |dk| + 2).  Its
+    top face is the apex, and a cone covers the points just below it iff
+    U >= U*, V >= V*, S >= U* + V*, which makes it contain the whole
+    quadrant.  ValueError for any other variant.
+    """
     if variant == L3Q:
-        return all(strictly_spacelike(c, cell_b) for c in region.cells)
+        return (lambda c: strictly_spacelike(c, cell_b)), True
     if variant != L3C:
         raise ValueError(f"unknown L3 variant {variant!r}")
     u_top = min(cell_a.cone[0], cell_b.cone[0])
     v_top = min(cell_a.cone[1], cell_b.cone[1])
-    return any(u >= u_top and v >= v_top and s >= u_top + v_top
-               for u, v, s in (c.cone for c in region.cells))
+
+    def covers(c: Cell) -> bool:
+        u, v, s = c.cone
+        return u >= u_top and v >= v_top and s >= u_top + v_top
+    return covers, False
+
+
+def l3_region(region: Region, cell_a: Cell, cell_b: Cell, variant: str) -> bool:
+    """L3Q: region spacelike from cell_b.  L3C: past of region contains the
+    common past of cell_a and cell_b (see _l3_rule)."""
+    _require_same_kind(region, cell_a)
+    _require_spacelike_pair(cell_a, cell_b)
+    passes, every = _l3_rule(cell_a, cell_b, variant)
+    return (all if every else any)(map(passes, region.cells))
 
 
 def shielder_off(region: Region, cell_a: Cell, cell_b: Cell, variant: str,
@@ -360,11 +400,6 @@ def shielder_off(region: Region, cell_a: Cell, cell_b: Cell, variant: str,
     for c in region.cells:
         if not window.contains(c):
             raise UnknownCell(f"region cell {c.label} outside the window")
-    return _verdict(region, cell_a, cell_b, variant, window)
-
-
-def _verdict(region: Region, cell_a: Cell, cell_b: Cell, variant: str,
-             window: Window) -> ShieldVerdict:
     return ShieldVerdict(
         l1=l1_past(region, cell_a),
         l2=l2_shields(region, cell_a, window),
@@ -377,6 +412,41 @@ def candidate_count(n_cells: int, max_cells: int) -> int:
     return sum(comb(n_cells, k) for k in range(1, min(max_cells, n_cells) + 1))
 
 
+def _sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
+           max_cells: int | None, budget: int,
+           ) -> Iterator[tuple[tuple[Cell, ...], tuple[str, ...], bool, bool, bool]]:
+    """Stream (cells, labels, l1, l2, l3) over the candidates of
+    enumerate_shielder_off, in the same order, each candidate an int mask
+    over the pool (module docstring).  Bits of distinct cells are distinct,
+    so each OR of bits is the sum of a combination; labels come from
+    combinations of the pool labels, already in sorted order.
+    """
+    _require_spacelike_pair(cell_a, cell_b)
+    pool = sorted(geo_ancestors(cell_a, window))
+    if max_cells is None:
+        max_cells = len(pool)
+    elif max_cells < 0:
+        raise ValueError(f"max_cells must be non-negative, got {max_cells}")
+    in_l3, l3_every = _l3_rule(cell_a, cell_b, variant)
+    count = candidate_count(len(pool), max_cells)
+    if count > budget:
+        raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
+    in_l1 = _l1_rule(cell_a)
+    bits = [1 << i for i in range(len(pool))]
+    l1_fail = sum(bit for bit, c in zip(bits, pool) if not in_l1(c))
+    l3_fail = sum(bit for bit, c in zip(bits, pool) if not in_l3(c))
+    pos, parent_masks, boundary = _backward_index(cell_a, window)
+    backs = [_blocked_mask(pos, (c,)) for c in pool]
+    labels = tuple(c.label for c in pool)
+    for size in range(1, min(max_cells, len(pool)) + 1):
+        for cells, labs, mask, blocked in zip(
+                combinations(pool, size), combinations(labels, size),
+                map(sum, combinations(bits, size)), map(sum, combinations(backs, size))):
+            l3 = not (mask & l3_fail) if l3_every else (mask & l3_fail) != mask
+            yield (cells, labs, not (mask & l1_fail),
+                   _shields(blocked, parent_masks, boundary), l3)
+
+
 def enumerate_shielder_off(cell_a: Cell, cell_b: Cell, window: Window,
                            variant: str, max_cells: int | None = None,
                            budget: int = DEFAULT_ENUM_BUDGET,
@@ -385,22 +455,13 @@ def enumerate_shielder_off(cell_a: Cell, cell_b: Cell, window: Window,
     geometric ancestors of cell_a, up to max_cells cells (None: the whole
     pool), in (size, lexicographic) order.
 
-    Raises ValueError for a negative max_cells and BudgetExceeded when the
-    candidate count exceeds budget, both before yielding anything.
+    Raises ValueError for a negative max_cells or an unknown variant and
+    BudgetExceeded when the candidate count exceeds budget, all before
+    yielding anything.
     """
-    _require_spacelike_pair(cell_a, cell_b)
-    pool = sorted(geo_ancestors(cell_a, window))
-    if max_cells is None:
-        max_cells = len(pool)
-    elif max_cells < 0:
-        raise ValueError(f"max_cells must be non-negative, got {max_cells}")
-    count = candidate_count(len(pool), max_cells)
-    if count > budget:
-        raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
-    for size in range(1, min(max_cells, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            region = Region(cell_a.kind, frozenset(combo))
-            yield region, _verdict(region, cell_a, cell_b, variant, window)
+    for cells, _labels, l1, l2, l3 in _sweep(cell_a, cell_b, window, variant,
+                                            max_cells, budget):
+        yield Region(cell_a.kind, frozenset(cells)), ShieldVerdict(l1, l2, l3, variant)
 
 
 def region_to_vertexset(region: Region, g: MixedGraph) -> frozenset[str]:
@@ -471,11 +532,11 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     """
     g = lattice_graph if lattice_graph is not None else build_graph(kind, window)
     a, b = cell_a.label, cell_b.label
+    g.require((a, b))
     rows = []
-    for region, verdict in enumerate_shielder_off(cell_a, cell_b, window,
-                                                  variant, max_cells, budget):
-        labels = region.labels()
+    for _cells, labels, l1, l2, l3 in _sweep(cell_a, cell_b, window, variant,
+                                             max_cells, budget):
         sep = is_separated(g, SeparationQuery(a, b, frozenset(labels)))
-        rows.append(Prop1Row(labels, verdict.l1, verdict.l2, verdict.l3,
-                             verdict.shielder_off, sep.separated, sep.witness))
+        rows.append(Prop1Row(labels, l1, l2, l3, l1 and l2 and l3,
+                             sep.separated, sep.witness))
     return Prop1Report(variant, rows)

@@ -178,6 +178,16 @@ class Distribution:
         if float(self.table.min()) < -1e-12:
             raise ValueError("negative probability entry")
 
+    @classmethod
+    def _built(cls, vars: Iterable[str], table: np.ndarray) -> "Distribution":
+        """A distribution over a table that this module's kernels built from
+        validated CPTs or a validated distribution, made without the
+        constructor's checking passes over every atom."""
+        d = object.__new__(cls)
+        d.vars = tuple(vars)
+        d.table = table
+        return d
+
     def prob(self, assignment: Mapping[str, int]) -> float:
         idx = tuple(int(assignment[v]) for v in self.vars)
         return float(self.table[idx])
@@ -192,7 +202,7 @@ class Distribution:
         rank = {v: r for r, v in enumerate(keep)}
         weights = [2 ** (len(keep) - 1 - rank[v]) if v in rank else 0 for v in self.vars]
         table = _marginal_table(self.table, weights)
-        return Distribution(keep, table.reshape((2,) * len(keep)))
+        return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
 @dataclass(frozen=True)
@@ -375,7 +385,7 @@ def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
         drop = tuple(i for i, v in enumerate(verts) if v in latent)
         table = table.sum(axis=drop)
     observed = tuple(v for v in verts if v not in latent)
-    return Distribution(observed, table)
+    return Distribution._built(observed, table)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,18 @@ def test_prop1_verify_max_cells_zero(diamond_file, capsys):
     assert _last_json(capsys)["candidates"] == 0
 
 
+@pytest.mark.parametrize("max_cells", ["0", "1"])
+@pytest.mark.parametrize("doc, a, b", [
+    ("diamond_file", "d(1,4)", "d(7,1)"),  # d(7,1) lies outside the window
+    ("diamond_file", "b(4,2)", "b(4,6)"),  # box cells on a diamond document
+    ("box_file", "b(4,2)", "b(4,6)"),      # both probes above the 3x3 window
+])
+def test_prop1_verify_probes_must_be_vertices(request, doc, a, b, max_cells):
+    path = request.getfixturevalue(doc)
+    assert main(["prop1", "verify", "--graph", str(path), "--a", a, "--b", b,
+                 "--max-cells", max_cells]) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["prop1", "verify", "--a", A, "--b", B, "--max-cells", "-2"],
     ["prop1", "verify", "--a", A, "--b", B, "--budget", "-1"],

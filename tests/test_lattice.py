@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import BOX_WINDOW, DIAMOND_WINDOW, LOW_SET, PAR_A, STAIRCASE
 from seplat.errors import (
@@ -40,6 +41,7 @@ from seplat.lattice import (
     region_to_vertexset,
     shielder_off,
     spouses,
+    strictly_spacelike,
 )
 
 
@@ -506,3 +508,51 @@ def test_prop1_sweep_diamond_report(diamond6):
     assert rep.total == 9 + 36  # sizes 1 and 2
     assert rep.shielder_off_count == 0  # no 2-cell region shields here
     assert not rep.counterexamples
+
+
+@st.composite
+def sweep_cases(draw):
+    kind = draw(st.sampled_from((DIAMOND, BOX)))
+    a_min, b_min = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    window = Window(a_min, a_min + draw(st.integers(1, 4)),
+                    b_min, b_min + draw(st.integers(1, 5)))
+    cells = window.cells(kind)
+    pairs = [(x, y) for x in cells for y in cells if x != y and strictly_spacelike(x, y)]
+    assume(pairs)
+    cell_a, cell_b = draw(st.sampled_from(pairs))
+    return (kind, window, cell_a, cell_b, draw(st.sampled_from((L3C, L3Q))),
+            draw(st.integers(0, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_mask_sweep_matches_region_predicates(case):
+    """Every sweep row against a Region built for its candidate: the public
+    predicates, and first-principles references that share no per-cell rule
+    with the sweep."""
+    kind, window, cell_a, cell_b, variant, max_cells = case
+    rep = prop1_sweep(kind, window, cell_a, cell_b, variant, max_cells)
+    pool = sorted(geo_ancestors(cell_a, window))
+    combos = [combo for k in range(1, max_cells + 1) for combo in combinations(pool, k)]
+    assert len(rep.rows) == len(combos)
+    for row, combo in zip(rep.rows, combos):
+        reg = Region(kind, frozenset(combo))
+        v = shielder_off(reg, cell_a, cell_b, variant, window)
+        verdict = (row.l1, row.l2, row.l3, row.shielder_off)
+        assert {type(x) for x in verdict} == {bool}
+        assert row.region == reg.labels()
+        assert verdict == (v.l1, v.l2, v.l3, v.shielder_off)
+        assert row.l1 == all(c != cell_a and _square_in_past(c, cell_a) for c in combo)
+        assert row.l2 == _l2_cell_walk(reg, cell_a, window)
+        if variant == L3Q:
+            assert row.l3 == all(causal_relation(c, cell_b) == SPACELIKE
+                                 and not mutual_past_contact(c, cell_b) for c in combo)
+        elif kind == DIAMOND:
+            assert row.l3 == _exact_diamond_l3c(combo, cell_a, cell_b)
+
+
+def test_unknown_variant_rejected_up_front():
+    with pytest.raises(ValueError, match="unknown L3 variant"):
+        next(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, "bogus", 0))
+    with pytest.raises(ValueError, match="unknown L3 variant"):
+        prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), "bogus", 0)

@@ -187,6 +187,18 @@ def test_marginal_comes_back_in_sorted_order():
     assert np.array_equal(cab.marginal(("b", "c")).table, abc.marginal(("b", "c")).table)
 
 
+def test_kernel_built_tables_pass_the_public_checks():
+    # margins and marginals skip the validating constructor; each must
+    # still be a distribution the public constructor accepts
+    g = build_lattice_graph(BOX, Window(0, 2, 0, 3))
+    dag, latent = latent_expansion(g)
+    margin = ancestral_margin(dag, random_cpts(dag, 3), ("b(2,0)", "b(2,3)"), latent)
+    for built in (margin, margin.marginal(margin.vars[1:4])):
+        assert isinstance(built.vars, tuple) and built.table.dtype == float
+        checked = Distribution(built.vars, built.table)
+        assert checked.vars == built.vars and np.array_equal(checked.table, built.table)
+
+
 def test_check_cmc_lattice_joint(diamond3):
     d = joint(diamond3, random_cpts(diamond3, 5))
     rep = check_cmc(d, diamond3)
@@ -265,6 +277,9 @@ def test_is_locally_causal_small_windows():
     without = CptSet({v: t for v, t in cpts.tables.items() if v != probe})
     with pytest.raises(UnknownVertex, match=re.escape(probe)):
         is_locally_causal(BOX, Window(0, 2, 0, 8), without, "l3c")
+    # an unknown L3 variant is an error, even when no candidate is enumerated
+    with pytest.raises(ValueError, match="unknown L3 variant"):
+        is_locally_causal(BOX, Window(0, 2, 0, 8), cpts, "bogus", max_cells=0)
 
 
 @pytest.mark.parametrize("p1", [
