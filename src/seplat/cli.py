@@ -61,14 +61,19 @@ def graph_document_text(g: MixedGraph, kind: str = "abstract",
                       indent=2, sort_keys=True) + "\n"
 
 
+def _dot_id(label: str) -> str:
+    """A DOT quoted ID: backslash and double quote escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_text(g: MixedGraph) -> str:
     lines = ["digraph G {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for u, v in g.directed:
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
     for u, v in g.bidirected:
-        lines.append(f'  "{u}" -> "{v}" [dir=both];')
+        lines.append(f"  {_dot_id(u)} -> {_dot_id(v)} [dir=both];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -274,9 +279,7 @@ def _cmd_export_dot(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    plain = sum(1 for line in text.splitlines() if "->" in line and "dir=both" not in line)
-    both = sum(1 for line in text.splitlines() if "dir=both" in line)
-    _emit({"directed": plain, "bidirected": both, "out": args.out})
+    _emit({"directed": len(g.directed), "bidirected": len(g.bidirected), "out": args.out})
     return 0
 
 
@@ -289,6 +292,14 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for tolerances and thresholds: finite and at least 0."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
     return value
 
 
@@ -344,8 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     soundness = mc.add_parser("soundness")
     soundness.add_argument("--graph", required=True)
     soundness.add_argument("--trials", type=_non_negative_int, default=100)
-    soundness.add_argument("--seed", type=int, default=0)
-    soundness.add_argument("--tol", type=float, default=1e-9)
+    soundness.add_argument("--seed", type=_non_negative_int, default=0)
+    soundness.add_argument("--tol", type=_tolerance, default=1e-9)
     soundness.add_argument("--max-cond", type=_non_negative_int, default=3)
     soundness.add_argument("--budget", type=_non_negative_int, default=mk.DEFAULT_JOINT_BUDGET)
     soundness.add_argument("--report")
@@ -356,15 +367,15 @@ def _build_parser() -> argparse.ArgumentParser:
     witness.add_argument("--b", required=True)
     witness.add_argument("--c", default="")
     witness.add_argument("--attempts", type=_non_negative_int, default=500)
-    witness.add_argument("--threshold", type=float, default=0.01)
-    witness.add_argument("--seed", type=int, default=0)
+    witness.add_argument("--threshold", type=_tolerance, default=0.01)
+    witness.add_argument("--seed", type=_non_negative_int, default=0)
     witness.add_argument("--out")
     witness.set_defaults(func=_cmd_mc_witness)
     local = mc.add_parser("local-causality")
     local.add_argument("--graph", required=True)
     local.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
-    local.add_argument("--seed", type=int, default=0)
-    local.add_argument("--tol", type=float, default=1e-9)
+    local.add_argument("--seed", type=_non_negative_int, default=0)
+    local.add_argument("--tol", type=_tolerance, default=1e-9)
     local.add_argument("--max-cells", type=int)
     local.add_argument("--report")
     local.set_defaults(func=_cmd_mc_local_causality)

@@ -11,8 +11,16 @@ Two independent decision routes are provided:
   core, the fast route used by sweeps (the reachability view of Bayes-Ball,
   Shachter 1998; Geiger, Verma & Pearl 1990).  The conditioning set becomes
   a vertex mask and the open colliders the OR of its ancestor masks.
-  Witness walks are spliced down to simple paths, which keeps the two
-  routes provably equivalent.
+
+The routes agree because a shortest active walk repeats no vertex.  Cut
+the loop between two visits of v: the shorter walk stays active.  A
+conditioned v passed twice as a collider and still is one; an ancestor of
+cond passes in any role.  Otherwise both visits were non-colliders, and v
+blocks only if the walk entered it through an arrowhead and left through
+one.  Then the loop leaves v along v -> x and returns along v -> y, so it
+holds a collider below v; that collider is open, so v is an ancestor of
+cond.  The FIFO of is_separated reaches b first along a shortest active
+walk, so its witness is a simple path.
 
 A collider is an interior path vertex receiving arrowheads from both
 neighbors; bidirected edge ends count as arrowheads.
@@ -158,9 +166,9 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     allowed when v acts as a non-collider outside cond, or as a collider in
     the open-collider mask (the OR of the inclusive ancestor masks of cond).
     Moves are tried in incident() order, so the first witness walk found is
-    deterministic; it is spliced down to a simple path.  Runs in
-    O(|V| + |E|) per query and agrees with is_separated_oracle on every
-    input.
+    deterministic, and it is the witness: a shortest active walk repeats no
+    vertex (module docstring).  Runs in O(|V| + |E|) per query and agrees
+    with is_separated_oracle on every input.
     """
     index, adjacency, anc = g.index, g.adjacency, g.ancestor_masks
     try:
@@ -221,34 +229,13 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     verts.append(q.a)
     verts.reverse()
     kinds.reverse()
-    path = _walk_to_simple_path(verts, kinds)
-    open_on_path = frozenset(v for v in path.vertices if open_mask >> index[v] & 1)
-    if not _connecting(path.vertices, path.edges, q.cond, open_on_path):
-        raise RuntimeError("internal invariant violation: spliced witness not connecting")
-    return SeparationVerdict(False, path)
-
-
-def _walk_to_simple_path(verts: list[str], kinds: list[str]) -> Path:
-    """Splice out repeated vertices; each splice preserves activeness.
-
-    Cutting between the first arrival and the last departure of a repeated
-    vertex leaves a role there that is passable under the same rules as the
-    original two visits, so shortening terminates with an active simple path.
-    """
-    while True:
-        seen: dict[str, int] = {}
-        dup = None
-        for idx, v in enumerate(verts):
-            if v in seen:
-                dup = v
-                break
-            seen[v] = idx
-        if dup is None:
-            return Path(tuple(verts), tuple(kinds))
-        i = seen[dup]
-        j = max(k for k, v in enumerate(verts) if v == dup)
-        verts = verts[:i + 1] + verts[j + 1:]
-        kinds = kinds[:i] + kinds[j:]
+    # a repeat would disprove the shortest-walk lemma; check it before
+    # Path() so a failure is an internal error, not an InvalidPath
+    open_on_path = frozenset(v for v in verts if open_mask >> index[v] & 1)
+    if len(set(verts)) < len(verts) or not _connecting(verts, kinds, q.cond, open_on_path):
+        raise RuntimeError("internal invariant violation: witness walk is not "
+                           "a connecting simple path")
+    return SeparationVerdict(False, Path(tuple(verts), tuple(kinds)))
 
 
 def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str]) -> bool:

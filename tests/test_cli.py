@@ -27,6 +27,9 @@ CANONICAL_CSV_SHA256 = {
 # the CI arithmetic shows here.
 MC_SOUNDNESS_SHA256 = "64a11f7edea71207a0bd824d3a023bd54ff917bd296369e958a32971d0e98f1d"
 
+# `export dot` of the 3x3 box lattice written by the box_file fixture.
+BOX_DOT_SHA256 = "25f178a22bc924c1c60a853f79d6d8867e6fed262c5590eaec470e0b3164d2d0"
+
 
 @pytest.fixture()
 def diamond_file(tmp_path):
@@ -124,6 +127,18 @@ def test_sep_minimal(diamond_file, capsys):
     out = _last_json(capsys)
     assert out["separator"] == ["d(3,0)", "d(3,1)"]
     assert out["certificate"] == {"separates": True, "single_removal_breaks": True}
+
+
+def test_sep_minimal_none_when_ancestors_cannot_separate(tmp_path, capsys):
+    from seplat.cli import graph_document_text
+    from seplat.graph import build_graph
+
+    # the ancestral start set {c, d} holds c, an open collider on a<->c<->b
+    g = build_graph("abcd", [("c", "d"), ("d", "a")], [("a", "c"), ("c", "b")])
+    path = tmp_path / "g.json"
+    path.write_text(graph_document_text(g))
+    assert main(["sep", "minimal", "--graph", str(path), "--a", "a", "--b", "b"]) == 1
+    assert _last_json(capsys) == {"separator": None}
 
 
 def test_sep_minimal_toy_and_adjacent(tmp_path, capsys):
@@ -245,6 +260,16 @@ def test_prop1_verify_probes_must_be_vertices(request, doc, a, b, max_cells):
     ["mc", "soundness", "--max-cond", "-1"],
     ["mc", "witness", "--a", A, "--b", B, "--c", "d(0,0)+d(0,1)+d(1,0)",
      "--attempts", "-1"],
+    # seeds are counts too; tolerances and thresholds are finite and >= 0
+    ["mc", "soundness", "--trials", "40", "--seed", "0", "--max-cond", "6", "--tol", "nan"],
+    ["mc", "soundness", "--trials", "40", "--max-cond", "6", "--seed", "-1"],
+    ["mc", "soundness", "--trials", "40", "--max-cond", "6", "--tol", "-1"],
+    ["mc", "local-causality", "--tol", "nan"],
+    ["mc", "local-causality", "--tol", "inf"],
+    ["mc", "witness", "--a", A, "--b", B, "--c", "d(0,0)+d(0,1)+d(1,0)",
+     "--threshold", "nan"],
+    ["mc", "witness", "--a", A, "--b", B, "--c", "d(0,0)+d(0,1)+d(1,0)",
+     "--attempts", "4", "--threshold", "inf"],
 ], ids=lambda argv: "_".join(argv[:2] + argv[-2:]))
 def test_negative_counts_exit_2(diamond_file, argv):
     assert main(argv[:2] + ["--graph", str(diamond_file)] + argv[2:]) == 2
@@ -317,6 +342,15 @@ def test_mc_witness(diamond_file, tmp_path, capsys):
                  "--c", "d(0,3)+d(0,4)+d(1,3)"]) == 1
 
 
+def test_mc_witness_not_found(diamond_file, capsys):
+    # no violation exceeds 1.0; the fourth attempt is a uniform redraw
+    code = main(["mc", "witness", "--graph", str(diamond_file), "--a", A, "--b", B,
+                 "--c", "d(0,0)+d(0,1)+d(1,0)", "--attempts", "4",
+                 "--threshold", "1.0", "--seed", "7"])
+    assert code == 1
+    assert _last_json(capsys) == {"found": False}
+
+
 def test_mc_local_causality(tmp_path, capsys):
     path = tmp_path / "g.json"
     assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "3",
@@ -340,7 +374,26 @@ def test_export_dot_counts(tmp_path, box_file, capsys):
     assert out == {"directed": 14, "bidirected": 6, "out": str(out_path)}
     text = out_path.read_text()
     assert text.startswith("digraph G {") and text.endswith("}\n")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == BOX_DOT_SHA256
     assert main(["export", "dot", "--graph", str(tmp_path / "missing.json")]) == 2
+
+
+def test_export_dot_labels_with_dot_syntax(tmp_path, capsys):
+    from seplat.cli import graph_document_text
+    from seplat.graph import build_graph
+
+    path = tmp_path / "g.json"
+    path.write_text(graph_document_text(build_graph(["x->y", "z"])))
+    assert main(["export", "dot", "--graph", str(path)]) == 0
+    assert _last_json(capsys)["directed"] == 0
+
+    g = build_graph(['a"b', "c\\d", "e"], [('a"b', "e")], [("c\\d", "e")])
+    path.write_text(graph_document_text(g))
+    assert main(["export", "dot", "--graph", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == ["digraph G {", '  "a\\"b";', '  "c\\\\d";', '  "e";',
+                          '  "a\\"b" -> "e";', '  "c\\\\d" -> "e" [dir=both];', "}"]
+    assert json.loads(lines[-1]) == {"directed": 1, "bidirected": 1, "out": None}
 
 
 def test_export_dot_malformed_json(tmp_path):

@@ -9,7 +9,7 @@ from seplat.errors import (
     SeparatedInput,
     UnknownVertex,
 )
-from seplat.graph import build_graph
+from seplat.graph import build_graph, format_path
 from seplat.lattice import BOX, DIAMOND, Window
 from seplat.lattice import build_graph as build_lattice_graph
 from seplat.markov import (
@@ -26,6 +26,7 @@ from seplat.markov import (
     latent_expansion,
     random_cpts,
 )
+from seplat.separation import SeparationQuery, is_separated
 
 
 def cpts_of(**tables):
@@ -245,6 +246,26 @@ def test_find_witness_explaining_away(collider_graph):
     again = find_dependence_witness(collider_graph, "a", "b", {"c"},
                                     attempts=20, threshold=0.05, seed=3)
     assert again.to_json_dict() == cpts.to_json_dict()
+
+
+def test_find_witness_copies_down_to_a_conditioned_descendant():
+    # a->c<-b with c->d->e: conditioning on e opens the collider c only if
+    # the plan copies c down the chain to e
+    g = build_graph("abcde", [("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")])
+    cpts = find_dependence_witness(g, "a", "b", {"e"}, attempts=1, threshold=0.1, seed=0)
+    assert cpts is not None
+    gap = ci_violation(joint(g, cpts), EventRef.single("a"), EventRef.single("b"), ("e",))
+    assert gap == pytest.approx(0.18225)
+
+
+def test_find_witness_through_a_spouse_edge():
+    g = build_lattice_graph(BOX, Window(0, 2, 0, 3))
+    a, b, cond = "b(2,0)", "b(2,3)", {"b(1,1)", "b(1,2)"}
+    witness = is_separated(g, SeparationQuery(a, b, frozenset(cond))).witness
+    assert "b(0,1)<->b(0,2)" in format_path(witness)
+    # the first attempt is the path-aligned plan, routed through the latent
+    assert find_dependence_witness(g, a, b, cond, attempts=1, threshold=0.1,
+                                   seed=0) is not None
 
 
 def test_find_witness_refuses_separating_set(common_cause_graph):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import LOW_SET, PAR_A
 from seplat.errors import AdjacentVertices, InvalidPath, NotCollateral
-from seplat.graph import Path, build_graph, format_path
+from seplat.graph import Path, build_graph, format_path, simple_paths
 from seplat.lattice import BOX, Window
 from seplat.lattice import build_graph as build_lattice_graph
 from seplat.markov import latent_expansion
@@ -119,6 +119,30 @@ def test_networkx_agrees_on_random_mixed_graphs():
             sep = minimal_separator(g, a, b)
             if sep is not None:
                 assert nx.is_minimal_d_separator(ndag, {a}, {b}, set(sep)), (seed, a, b)
+
+
+def test_witness_is_a_shortest_active_simple_path():
+    # the reachability witness closes a shortest active walk, and such a
+    # walk repeats no vertex; the shortest active simple path comes from
+    # simple-path enumeration, which shares no code with the search
+    connected = 0
+    for seed in range(120):
+        n = 4 + seed % 6
+        g = random_mixed_graph(n, 0.25 + 0.1 * (seed % 4), seed, (seed % 3) / 4)
+        for a, b in combinations(g.vertices, 2):
+            paths = sorted(simple_paths(g, a, b, n - 1), key=lambda p: len(p.edges))
+            rest = [v for v in g.vertices if v not in (a, b)]
+            for k in range(3):
+                for cond in combinations(rest, k):
+                    verdict = is_separated(g, SeparationQuery(a, b, frozenset(cond)))
+                    if verdict.separated:
+                        continue
+                    connected += 1
+                    walk = verdict.witness.vertices
+                    assert len(set(walk)) == len(walk)
+                    shortest = next(p for p in paths if path_is_connecting(g, p, cond))
+                    assert len(walk) == len(shortest.vertices), (seed, a, b, cond)
+    assert connected > 10_000
 
 
 def test_separation_symmetry(diamond6):
