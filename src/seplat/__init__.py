@@ -61,7 +61,6 @@ from .markov import (
 from .separation import (
     SeparationQuery,
     SeparationVerdict,
-    is_graph_shielder_off_set,
     is_separated,
     is_separated_oracle,
     minimal_separator,

@@ -33,6 +33,8 @@ from .separation import (
 
 CSV_HEADER = ["candidate_set", "l1", "l2", "l3", "shielder_off", "separated", "witness"]
 MC_CSV_HEADER = ["query", "atoms_checked", "max_violation", "verdict"]
+# window bounds of `lattice gen`: diamond imin..jmax, box kmin..mmax
+_BOUND_NAMES = ("imin", "imax", "jmin", "jmax", "kmin", "kmax", "mmin", "mmax")
 
 
 def write_report(path, header: list[str], rows) -> None:
@@ -105,13 +107,8 @@ def _require_lattice(kind: str, window: lat.Window | None) -> lat.Window:
 
 
 def _cmd_lattice_gen(args) -> int:
-    if args.kind == lat.DIAMOND:
-        bounds = (args.imin, args.imax, args.jmin, args.jmax)
-    else:
-        bounds = (args.kmin, args.kmax, args.mmin, args.mmax)
-    if any(b is None for b in bounds):
-        raise ValueError(f"missing window bounds for kind {args.kind!r}")
-    window = lat.Window(*bounds)
+    given = {k: v for k in _BOUND_NAMES if (v := getattr(args, k)) is not None}
+    window = lat.window_from_dict(args.kind, given)
     g = lat.build_graph(args.kind, window)
     text = graph_document_text(g, args.kind, lat.window_to_dict(args.kind, window))
     if args.out:
@@ -311,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lattice = top.add_parser("lattice").add_subparsers(dest="cmd", required=True)
     gen = lattice.add_parser("gen")
     gen.add_argument("--kind", choices=(lat.DIAMOND, lat.BOX), required=True)
-    for name in ("imin", "imax", "jmin", "jmax", "kmin", "kmax", "mmin", "mmax"):
+    for name in _BOUND_NAMES:
         gen.add_argument(f"--{name}", type=int)
     gen.add_argument("--out")
     gen.set_defaults(func=_cmd_lattice_gen)

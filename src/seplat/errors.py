@@ -33,10 +33,6 @@ class AdjacentVertices(SeplatError):
     """The two query vertices are directly connected by an edge."""
 
 
-class NotCollateral(SeplatError):
-    """One query vertex is an ancestor or descendant of the other."""
-
-
 class KindMismatch(SeplatError):
     """Lattice cells of different kinds were mixed in one operation."""
 

@@ -132,11 +132,15 @@ def window_to_dict(kind: str, w: Window) -> dict:
 
 
 def window_from_dict(kind: str, d: dict) -> Window:
+    """The window of exactly the kind's four bounds; a missing or stray key
+    is a ValueError naming it."""
     keys = _WINDOW_KEYS[kind]
-    try:
-        return Window(*(int(d[k]) for k in keys))
-    except KeyError as exc:
-        raise ValueError(f"window document missing key {exc}") from exc
+    if set(d) != set(keys):
+        wrong = [f"missing {k}" for k in keys if k not in d] + \
+                [f"stray {k}" for k in sorted(d) if k not in keys]
+        raise ValueError(f"a {kind} window takes exactly {', '.join(keys)} "
+                         f"({', '.join(wrong)})")
+    return Window(*(int(d[k]) for k in keys))
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AdjacentVertices, InvalidPath, NotCollateral, UnknownVertex
+from .errors import AdjacentVertices, InvalidPath, UnknownVertex
 from .graph import (
-    ANCESTORS,
     ANCESTORS_INCLUSIVE,
     BIDIR,
     DIR_BACKWARD,
@@ -245,10 +244,18 @@ def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str]) -> bool:
 def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     """Greedy minimal separator contained in ancestors_inclusive({a, b}).
 
-    Starts from the inclusive ancestor set minus the endpoints and removes
-    elements in label order while separation is preserved.  The result
-    separates a from b and loses separation after any single removal; None
-    is returned if the starting set itself fails to separate.
+    Starts from the inclusive ancestor set S0 minus the endpoints and, in
+    one pass in label order, removes each element whose removal preserves
+    separation: |S0| + 1 separation calls.  None is returned if S0 itself
+    fails to separate.
+
+    One pass is inclusion-minimal (Tian, Paz & Pearl 1998).  For every
+    Z within An({a, b}), An({a, b} | Z) = An({a, b}), so Z m-separates a
+    and b exactly when it separates them in one fixed undirected graph,
+    the augmented graph of An({a, b}) (Richardson 2003).  Undirected
+    separation is monotone under adding vertices to Z.  Each survivor
+    failed to be removed from a superset of the result, so removing it
+    from the result fails too.
     """
     g.require((a, b))
     if a == b:
@@ -258,56 +265,9 @@ def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     s0 = relatives(g, frozenset((a, b)), ANCESTORS_INCLUSIVE) - {a, b}
     if not _sep(g, a, b, s0):
         return None
-    # Removing a vertex can re-block colliders, so earlier survivors may
-    # become removable; iterate to a fixpoint for true inclusion-minimality.
     keep = set(s0)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(keep):
-            trial = keep - {v}
-            if _sep(g, a, b, trial):
-                keep = trial
-                changed = True
+    for v in sorted(s0):
+        keep.discard(v)
+        if not _sep(g, a, b, keep):
+            keep.add(v)
     return frozenset(keep)
-
-
-def is_graph_shielder_off_set(g: MixedGraph, a: str, b: str,
-                              cond: Iterable[str]) -> bool:
-    """Graph-level shielding: cond sits in Anc(a) and cuts every directed
-    path from the common ancestors of a and b to a.
-
-    This is the structural property geometric shielder-off regions induce
-    on the lattice graphs.  On graphs with no spouse edges it implies
-    separation.  With spouse edges it does not: a vertex of cond can be a
-    collider on a spouse edge and open an m-connecting path.
-    """
-    cond = frozenset(cond)
-    g.require((a, b))
-    g.require(cond)
-    if a in cond or b in cond:
-        raise ValueError("probe vertices may not be in the candidate set")
-    anc_a = relatives(g, frozenset((a,)), ANCESTORS)
-    anc_b = relatives(g, frozenset((b,)), ANCESTORS)
-    if a in anc_b or b in anc_a:
-        raise NotCollateral(f"{a!r} and {b!r} are not collateral")
-    if not cond <= anc_a:
-        return False
-    common = anc_a & anc_b
-    if not common:
-        return True
-    # Reverse reachability from a over parents, skipping cond: any common
-    # ancestor reached has a cond-free directed path to a.
-    seen = {a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        for p in g.parents_of(v):
-            if p in cond or p in seen:
-                continue
-            if p in common:
-                return False
-            seen.add(p)
-            stack.append(p)
-    return True
-

@@ -76,6 +76,14 @@ def test_lattice_gen_bad_bounds():
                  "--kmax", "2"]) == 2
 
 
+def test_lattice_gen_rejects_other_kinds_bounds(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "2",
+                 "--jmin", "0", "--jmax", "2", "--kmin", "5", "--out", str(path)]) == 2
+    assert "stray kmin" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_sep_check_verdicts(diamond_file, capsys):
     code = main(["sep", "check", "--graph", str(diamond_file), "--a", A, "--b", B,
                  "--c", "d(0,3)+d(0,4)+d(1,3)"])
@@ -416,6 +424,7 @@ def test_malformed_graph_documents_exit_2(tmp_path, diamond_file):
         "float_bound": dict(diamond, window=dict(diamond["window"], imax=5.0)),
         "bool_bound": dict(diamond, window=dict(diamond["window"], imin=False)),
         "string_bound": dict(diamond, window=dict(diamond["window"], jmax="5")),
+        "stray_box_bound": dict(diamond, window=dict(diamond["window"], kmin=7)),
     }
     for name, doc in bad_docs.items():
         path = tmp_path / f"{name}.json"

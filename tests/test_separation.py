@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from conftest import LOW_SET, PAR_A
-from seplat.errors import AdjacentVertices, InvalidPath, NotCollateral
+from seplat import separation
+from seplat.errors import AdjacentVertices, InvalidPath
 from seplat.graph import Path, build_graph, format_path, simple_paths
 from seplat.lattice import BOX, Window
 from seplat.lattice import build_graph as build_lattice_graph
@@ -11,7 +12,6 @@ from seplat.markov import latent_expansion
 from seplat.random_graphs import random_mixed_graph
 from seplat.separation import (
     SeparationQuery,
-    is_graph_shielder_off_set,
     is_separated,
     is_separated_oracle,
     minimal_separator,
@@ -171,14 +171,52 @@ def test_minimal_separator_rejects_adjacent():
         minimal_separator(g, "a", "b")
 
 
-def test_minimal_separator_fixture(diamond6):
-    # Greedy shrink in label order lands on a 2-cell separator here; the
+def test_minimal_separator_fixture(diamond6, box69):
+    # Greedy shrink in label order lands on these separators; the
     # single-removal sweep certifies inclusion-minimality.
-    sep = minimal_separator(diamond6, A, B)
-    assert sep == {"d(3,0)", "d(3,1)"}
-    assert is_separated(diamond6, SeparationQuery(A, B, sep)).separated
-    for v in sep:
-        assert not is_separated(diamond6, SeparationQuery(A, B, sep - {v})).separated
+    for g, a, b, expected in ((diamond6, A, B, {"d(3,0)", "d(3,1)"}),
+                              (box69, "b(4,2)", "b(4,6)",
+                               {"b(3,5)", "b(3,6)", "b(3,7)"})):
+        sep = minimal_separator(g, a, b)
+        assert sep == expected
+        assert is_separated(g, SeparationQuery(a, b, sep)).separated
+        for v in sep:
+            assert not is_separated(g, SeparationQuery(a, b, sep - {v})).separated
+
+
+def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
+    # one call for the start set S0, then one per element of S0
+    counted = []
+
+    def counting(g, q):
+        counted.append(q)
+        return is_separated(g, q)
+
+    monkeypatch.setattr(separation, "is_separated", counting)
+    for g, a, b, calls in ((diamond6, A, B, 15), (box69, "b(4,2)", "b(4,6)", 34)):
+        counted.clear()
+        minimal_separator(g, a, b)
+        assert len(counted) == calls == len(counted[0].cond) + 1
+
+
+def test_no_proper_subset_of_a_minimal_separator_separates():
+    # inclusion-minimality checked over every proper subset with the
+    # simple-path oracle, which shares no code with the greedy pass
+    checked = 0
+    for seed in range(200):
+        g = random_mixed_graph(3 + seed % 6, 0.2 + 0.1 * (seed % 5), seed)
+        for a, b in combinations(g.vertices, 2):
+            if g.is_adjacent(a, b):
+                continue
+            sep = minimal_separator(g, a, b)
+            if sep is None:
+                continue
+            checked += 1
+            for k in range(len(sep)):
+                for sub in combinations(sorted(sep), k):
+                    q = SeparationQuery(a, b, frozenset(sub))
+                    assert not is_separated_oracle(g, q).separated, (seed, a, b, sub)
+    assert checked > 1500
 
 
 def test_parents_separate_but_not_minimal_here(diamond6):
@@ -191,40 +229,25 @@ def test_parents_separate_but_not_minimal_here(diamond6):
     assert is_separated(diamond6, SeparationQuery(A, B, PAR_A - {"d(0,4)"})).separated
 
 
-def test_graph_shielder_off_flags(diamond6):
-    assert is_graph_shielder_off_set(diamond6, A, B, PAR_A)
-    # the low set leaves the directed path d(1,1)->d(1,2)->d(1,3)->d(1,4) open
-    assert not is_graph_shielder_off_set(diamond6, A, B, LOW_SET)
-    # parents of B are not ancestors of A
-    assert not is_graph_shielder_off_set(diamond6, A, B,
-                                         {"d(3,0)", "d(3,1)", "d(4,0)"})
-    with pytest.raises(NotCollateral):
-        is_graph_shielder_off_set(diamond6, "d(0,0)", "d(1,1)", frozenset())
-
-
 def test_verify_theorem_single_candidates(diamond6):
-    assert is_graph_shielder_off_set(diamond6, A, B, PAR_A)
     assert is_separated(diamond6, SeparationQuery(A, B, PAR_A)).separated
-    assert not is_graph_shielder_off_set(diamond6, A, B, frozenset())
     assert not is_separated(diamond6, SeparationQuery(A, B)).separated
 
 
 def test_verify_theorem_full_sweep(diamond6):
-    # The S1/S2 structural test is necessary but not sufficient for
-    # separation: dips at conditioned-ancestor colliders connect 52 of the
-    # 352 qualifying sets.  Geometric shielder-off regions avoid all of
-    # them (see the lattice sweeps).
+    # every subset of the two lowest rows in the past of A: the fast route
+    # agrees with the oracle, and each witness is a connecting path
     pool = sorted(f"d({i},{j})" for i in range(2) for j in range(5)
                   if (i, j) != (1, 4))
-    total = shielded = connected = 0
+    total = separated = 0
     for size in range(len(pool) + 1):
         for cand in combinations(pool, size):
             total += 1
-            if not is_graph_shielder_off_set(diamond6, A, B, cand):
-                continue
-            shielded += 1
-            verdict = is_separated(diamond6, SeparationQuery(A, B, frozenset(cand)))
-            if not verdict.separated:
-                connected += 1
+            q = SeparationQuery(A, B, frozenset(cand))
+            verdict = is_separated(diamond6, q)
+            assert verdict.separated == is_separated_oracle(diamond6, q).separated
+            if verdict.separated:
+                separated += 1
+            else:
                 assert path_is_connecting(diamond6, verdict.witness, cand)
-    assert (total, shielded, connected) == (512, 352, 52)
+    assert (total, separated) == (512, 332)
