@@ -33,7 +33,6 @@ from .lattice import (
     canonical_probe_pair,
     causal_relation,
     direct_parents,
-    enumerate_shielder_off,
     geo_ancestors,
     l1_past,
     l2_shields,
@@ -43,6 +42,7 @@ from .lattice import (
     prop1_sweep,
     region_to_vertexset,
     shielder_off,
+    shielding_sweep,
     spouses,
 )
 from .markov import (

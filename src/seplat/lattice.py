@@ -29,12 +29,12 @@ face is its apex; a cone covers the points just below the apex iff U >= U*,
 V >= V* and S >= U* + V*, and then it contains the whole quadrant.
 
 L1 and L3 are thus per-cell rules: L1 and L3Q hold when every cell passes,
-L3C when some cell does.  A sweep takes each pool cell's verdicts once, as
-bits of a fail mask over pool indices, and a candidate is the int mask of
-its cells, so each rule is one mask test.  L2 is a flood fill over
-bitmasks of the cells backward-reachable from A, blocked by the OR of the
-candidate's bits there.  The public predicates apply the same per-cell
-rules and flood fill to a Region.
+L3C when some cell does.  Each probe A has one cached bit index: A is bit 0
+and its pool of in-window geometric ancestors takes bits 1..n (the causal
+past is transitive, so a backward walk from A stays in the pool).  A
+candidate is the int mask of its cells: one mask test each for L1 and L3
+against per-cell fail masks, and the blocked set of the L2 flood fill.  The
+public predicates apply the same per-cell rules and flood fill to a Region.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from . import graph as graph_mod
@@ -88,9 +87,6 @@ class Cell:
         if self.kind == DIAMOND:
             return self.a + 1, self.b + 1, self.a + self.b + 2
         return self.a + 1 - self.b, self.a + self.b + 2, 2 * self.a + 2
-
-
-_coords = attrgetter("a", "b")
 
 
 def parse_cell(label: str) -> Cell:
@@ -164,10 +160,6 @@ class Region:
         if len(kinds) != 1:
             raise KindMismatch(f"region mixes kinds {sorted(kinds)}")
         return cls(next(iter(kinds)), cells)
-
-    def labels(self) -> tuple[str, ...]:
-        # one kind per region, so (a, b) order is the Cell order
-        return tuple(c.label for c in sorted(self.cells, key=_coords))
 
 
 def parse_region(literal: str) -> Region:
@@ -297,33 +289,19 @@ def l1_past(region: Region, cell_a: Cell) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _backward_index(cell_a: Cell, window: Window
-                    ) -> tuple[dict[tuple[int, int], int], tuple[int, ...], int]:
-    """Bit index of the cells reachable backward from cell_a inside the
-    window (cell_a is bit 0): (position by (a, b), in-window parent mask per
-    bit, mask of boundary cells)."""
-    pos = {(cell_a.a, cell_a.b): 0}
-    cells = [cell_a]
-    for c in cells:  # grows while it is scanned: a breadth-first closure
-        for p in direct_parents(c):
-            if window.contains(p) and (p.a, p.b) not in pos:
-                pos[(p.a, p.b)] = len(cells)
-                cells.append(p)
-    parent_masks = tuple(
-        sum(1 << pos[(p.a, p.b)] for p in direct_parents(c) if window.contains(p))
-        for c in cells)
-    boundary = sum(1 << i for i, c in enumerate(cells) if is_boundary_cell(c, window))
-    return pos, parent_masks, boundary
-
-
-def _blocked_mask(pos: dict[tuple[int, int], int], cells: Iterable[Cell]) -> int:
-    """Backward-index bits of the cells; a cell the walk never reaches has none."""
-    blocked = 0
-    for c in cells:
-        i = pos.get((c.a, c.b))
-        if i is not None:
-            blocked |= 1 << i
-    return blocked
+def _pool_index(cell_a: Cell, window: Window
+                ) -> tuple[tuple[Cell, ...], dict[Cell, int], tuple[int, ...], int]:
+    """(pool, bit by cell, in-window parent mask per bit, boundary mask):
+    cell_a is bit 0, its sorted geometric ancestors bits 1..n.  The causal
+    past is transitive, so every in-window parent of these cells is in the
+    pool; bit[p] raises KeyError if one were not."""
+    pool = tuple(sorted(geo_ancestors(cell_a, window)))
+    cells = (cell_a,) + pool
+    bit = {c: 1 << i for i, c in enumerate(cells)}
+    parent_masks = tuple(sum(bit[p] for p in direct_parents(c) if window.contains(p))
+                         for c in cells)
+    boundary = sum(bit[c] for c in cells if is_boundary_cell(c, window))
+    return pool, bit, parent_masks, boundary
 
 
 def _shields(blocked: int, parent_masks: tuple[int, ...], boundary: int) -> bool:
@@ -349,11 +327,12 @@ def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
     Walk backward from cell_a through in-window parents, never entering the
     region; the region shields iff no reachable cell has a parent outside
     the window (window exit counts as failure).  The walk is a frontier flood
-    fill over bitmasks of the cells backward-reachable from cell_a.
+    fill over the probe's pool bits; a region cell outside the pool is never
+    reached, so it blocks nothing.
     """
     _require_same_kind(region, cell_a)
-    pos, parent_masks, boundary = _backward_index(cell_a, window)
-    return _shields(_blocked_mask(pos, region.cells), parent_masks, boundary)
+    _pool, bit, parent_masks, boundary = _pool_index(cell_a, window)
+    return _shields(sum(bit.get(c, 0) for c in region.cells), parent_masks, boundary)
 
 
 def _require_spacelike_pair(cell_a: Cell, cell_b: Cell) -> None:
@@ -416,17 +395,20 @@ def candidate_count(n_cells: int, max_cells: int) -> int:
     return sum(comb(n_cells, k) for k in range(1, min(max_cells, n_cells) + 1))
 
 
-def _sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
-           max_cells: int | None, budget: int,
-           ) -> Iterator[tuple[tuple[Cell, ...], tuple[str, ...], bool, bool, bool]]:
-    """Stream (cells, labels, l1, l2, l3) over the candidates of
-    enumerate_shielder_off, in the same order, each candidate an int mask
-    over the pool (module docstring).  Bits of distinct cells are distinct,
-    so each OR of bits is the sum of a combination; labels come from
-    combinations of the pool labels, already in sorted order.
+def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
+                    max_cells: int | None = None, budget: int = DEFAULT_ENUM_BUDGET,
+                    ) -> Iterator[tuple[tuple[str, ...], bool, bool, bool]]:
+    """Stream (labels, l1, l2, l3) over all nonempty subsets of cell_a's pool
+    up to max_cells cells (None: the whole pool), in (size, lexicographic)
+    order, each labels tuple sorted.  A candidate's mask is the sum of a
+    combination of pool bits (module docstring).
+
+    Raises ValueError for a negative max_cells or an unknown variant and
+    BudgetExceeded when the candidate count exceeds budget, all before
+    yielding anything.
     """
     _require_spacelike_pair(cell_a, cell_b)
-    pool = sorted(geo_ancestors(cell_a, window))
+    pool, bit, parent_masks, boundary = _pool_index(cell_a, window)
     if max_cells is None:
         max_cells = len(pool)
     elif max_cells < 0:
@@ -436,36 +418,16 @@ def _sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
     if count > budget:
         raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
     in_l1 = _l1_rule(cell_a)
-    bits = [1 << i for i in range(len(pool))]
-    l1_fail = sum(bit for bit, c in zip(bits, pool) if not in_l1(c))
-    l3_fail = sum(bit for bit, c in zip(bits, pool) if not in_l3(c))
-    pos, parent_masks, boundary = _backward_index(cell_a, window)
-    backs = [_blocked_mask(pos, (c,)) for c in pool]
+    bits = [bit[c] for c in pool]
+    l1_fail = sum(bit[c] for c in pool if not in_l1(c))
+    l3_fail = sum(bit[c] for c in pool if not in_l3(c))
     labels = tuple(c.label for c in pool)
     for size in range(1, min(max_cells, len(pool)) + 1):
-        for cells, labs, mask, blocked in zip(
-                combinations(pool, size), combinations(labels, size),
-                map(sum, combinations(bits, size)), map(sum, combinations(backs, size))):
+        for labs, mask in zip(combinations(labels, size),
+                              map(sum, combinations(bits, size))):
             l3 = not (mask & l3_fail) if l3_every else (mask & l3_fail) != mask
-            yield (cells, labs, not (mask & l1_fail),
-                   _shields(blocked, parent_masks, boundary), l3)
-
-
-def enumerate_shielder_off(cell_a: Cell, cell_b: Cell, window: Window,
-                           variant: str, max_cells: int | None = None,
-                           budget: int = DEFAULT_ENUM_BUDGET,
-                           ) -> Iterator[tuple[Region, ShieldVerdict]]:
-    """Stream (region, verdict) over all nonempty subsets of the in-window
-    geometric ancestors of cell_a, up to max_cells cells (None: the whole
-    pool), in (size, lexicographic) order.
-
-    Raises ValueError for a negative max_cells or an unknown variant and
-    BudgetExceeded when the candidate count exceeds budget, all before
-    yielding anything.
-    """
-    for cells, _labels, l1, l2, l3 in _sweep(cell_a, cell_b, window, variant,
-                                            max_cells, budget):
-        yield Region(cell_a.kind, frozenset(cells)), ShieldVerdict(l1, l2, l3, variant)
+            yield (labs, not (mask & l1_fail),
+                   _shields(mask, parent_masks, boundary), l3)
 
 
 def region_to_vertexset(region: Region, g: MixedGraph) -> frozenset[str]:
@@ -538,8 +500,8 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
     rows = []
-    for _cells, labels, l1, l2, l3 in _sweep(cell_a, cell_b, window, variant,
-                                             max_cells, budget):
+    for labels, l1, l2, l3 in shielding_sweep(cell_a, cell_b, window, variant,
+                                              max_cells, budget):
         sep = is_separated(g, SeparationQuery(a, b, frozenset(labels)))
         rows.append(Prop1Row(labels, l1, l2, l3, l1 and l2 and l3,
                              sep.separated, sep.witness))

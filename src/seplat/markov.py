@@ -414,8 +414,6 @@ def _ci(d: Distribution, a: EventRef, b: EventRef,
     p_c = t_no_a.sum(axis=tuple(range(nb)))
     p_abc, p_ac, p_bc, p_c = (np.atleast_1d(x) for x in (p_abc, p_ac, p_bc, p_c))
     mask = p_c > 0.0
-    if not np.any(mask):
-        return 0.0, 0
     diff = np.abs(p_abc[mask] / p_c[mask] - (p_ac[mask] / p_c[mask]) * (p_bc[mask] / p_c[mask]))
     return float(diff.max()), int(mask.sum())
 
@@ -540,13 +538,12 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
         ev_a, ev_b = EventRef.single(a), EventRef.single(b)
         gap = ci_violation(margin, ev_a, ev_b, ())
         probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
-        for region, verdict in lattice_mod.enumerate_shielder_off(
+        for labels, l1, l2, l3 in lattice_mod.shielding_sweep(
                 cell_a, cell_b, window, variant, max_cells):
-            if not verdict.shielder_off:
+            if not (l1 and l2 and l3):
                 continue
             # L1 cells lie in A's causal past, so in the window they are graph
             # ancestors of a, all in the margin; else _ci raises UnknownVertex
-            labels = region.labels()
             viol, atoms = _ci(margin, ev_a, ev_b, labels)
             probe.checks.append(ScreeningCheck((a, b), labels, atoms, viol,
                                                viol <= tol))

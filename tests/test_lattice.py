@@ -28,7 +28,6 @@ from seplat.lattice import (
     canonical_probe_pair,
     causal_relation,
     direct_parents,
-    enumerate_shielder_off,
     geo_ancestors,
     is_boundary_cell,
     l1_past,
@@ -40,6 +39,7 @@ from seplat.lattice import (
     prop1_sweep,
     region_to_vertexset,
     shielder_off,
+    shielding_sweep,
     spouses,
     strictly_spacelike,
 )
@@ -216,6 +216,17 @@ def l2_cases(draw):
 def test_l2_bitmask_matches_cell_walk(case):
     region, cell_a, window = case
     assert l2_shields(region, cell_a, window) == _l2_cell_walk(region, cell_a, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(l2_cases())
+def test_pool_holds_in_window_parents(case):
+    """The closure the bit index relies on: every in-window direct parent of
+    the probe, and of each of its geometric ancestors, is one of them."""
+    _region, cell_a, window = case
+    pool = geo_ancestors(cell_a, window)
+    for c in pool | {cell_a}:
+        assert {p for p in direct_parents(c) if window.contains(p)} <= pool
 
 
 def test_parents_always_shield():
@@ -462,26 +473,25 @@ def test_shielder_off_validations():
         shielder_off(region(d(-3, 0)), d(1, 4), d(4, 1), L3C, DIAMOND_WINDOW)
 
 
-def test_enumerate_shielder_off_counts():
-    results = list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 9))
+def test_shielding_sweep_counts():
+    results = list(shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 9))
     assert len(results) == 511
-    so = {r.labels() for r, v in results if v.shielder_off}
+    so = {labels for labels, l1, l2, l3 in results if l1 and l2 and l3}
     assert tuple(sorted(PAR_A)) in so
     assert tuple(sorted(STAIRCASE)) in so
     assert len(so) >= 2
-    assert list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 0)) == []
+    assert list(shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 0)) == []
     with pytest.raises(ValueError):
-        list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, -1))
+        list(shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, -1))
     with pytest.raises(BudgetExceeded):
-        list(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 9,
-                                    budget=100))
+        list(shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW, L3C, 9, budget=100))
 
 
 def test_l3q_implies_l3c_on_fixture_sweep():
-    for reg, verdict in enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW,
-                                               L3Q, 9):
-        if verdict.shielder_off:
-            assert l3_region(reg, d(1, 4), d(4, 1), L3C)
+    for labels, l1, l2, l3 in shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW,
+                                              L3Q, 9):
+        if l1 and l2 and l3:
+            assert l3_region(parse_region("+".join(labels)), d(1, 4), d(4, 1), L3C)
 
 
 def test_region_literals_and_vertexsets(diamond6, box3):
@@ -540,7 +550,7 @@ def test_mask_sweep_matches_region_predicates(case):
         v = shielder_off(reg, cell_a, cell_b, variant, window)
         verdict = (row.l1, row.l2, row.l3, row.shielder_off)
         assert {type(x) for x in verdict} == {bool}
-        assert row.region == reg.labels()
+        assert row.region == tuple(c.label for c in sorted(reg.cells))
         assert verdict == (v.l1, v.l2, v.l3, v.shielder_off)
         assert row.l1 == all(c != cell_a and _square_in_past(c, cell_a) for c in combo)
         assert row.l2 == _l2_cell_walk(reg, cell_a, window)
@@ -553,6 +563,6 @@ def test_mask_sweep_matches_region_predicates(case):
 
 def test_unknown_variant_rejected_up_front():
     with pytest.raises(ValueError, match="unknown L3 variant"):
-        next(enumerate_shielder_off(d(1, 4), d(4, 1), DIAMOND_WINDOW, "bogus", 0))
+        next(shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW, "bogus", 0))
     with pytest.raises(ValueError, match="unknown L3 variant"):
         prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), "bogus", 0)

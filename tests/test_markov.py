@@ -10,7 +10,7 @@ from seplat.errors import (
     UnknownVertex,
 )
 from seplat.graph import build_graph, format_path
-from seplat.lattice import BOX, DIAMOND, Window
+from seplat.lattice import BOX, DIAMOND, L3C, L3Q, Window, canonical_probe_pair, prop1_sweep
 from seplat.lattice import build_graph as build_lattice_graph
 from seplat.markov import (
     CptSet,
@@ -301,6 +301,20 @@ def test_is_locally_causal_small_windows():
     # an unknown L3 variant is an error, even when no candidate is enumerated
     with pytest.raises(ValueError, match="unknown L3 variant"):
         is_locally_causal(BOX, Window(0, 2, 0, 8), cpts, "bogus", max_cells=0)
+
+
+@pytest.mark.parametrize("variant", [L3C, L3Q])
+@pytest.mark.parametrize("kind, window", [(DIAMOND, Window(0, 5, 0, 5)),
+                                          (BOX, Window(0, 2, 0, 8))])
+def test_is_locally_causal_checks_the_sweeps_shielder_off_regions(kind, window, variant):
+    g = build_lattice_graph(kind, window)
+    dag, _latent = latent_expansion(g)
+    rep = is_locally_causal(kind, window, random_cpts(dag, 3), variant)
+    cell_a, cell_b = canonical_probe_pair(kind, window)
+    sweep = prop1_sweep(kind, window, cell_a, cell_b, variant, lattice_graph=g)
+    expected = [r.region for r in sweep.rows if r.shielder_off]
+    assert expected  # 84 and 5 on the diamond, 1 and 1 on the box
+    assert [c.region for c in rep.probes[0].checks] == expected
 
 
 @pytest.mark.parametrize("p1", [
