@@ -57,6 +57,7 @@ from .markov import (
     joint,
     latent_expansion,
     random_cpts,
+    target_marginal,
 )
 from .separation import (
     SeparationQuery,

@@ -182,7 +182,7 @@ def _cmd_prop1_verify(args) -> int:
 
 def _cmd_mc_soundness(args) -> int:
     g, _kind, _window = _load_graph(args.graph)
-    dag, latent = mk.latent_expansion(g)
+    dag, _latent = mk.latent_expansion(g)
     observed = sorted(g.vertices)
     checked = skipped = 0
     max_violation = 0.0
@@ -206,8 +206,8 @@ def _cmd_mc_soundness(args) -> int:
             skipped += 1
             rows.append([query, 0, "", "skipped:connected"])
             continue
-        margin = mk.ancestral_margin(dag, mk.random_cpts(dag, seed),
-                                     {a, b} | cond, latent, args.budget)
+        margin = mk.target_marginal(dag, mk.random_cpts(dag, seed),
+                                    {a, b} | cond, args.budget)
         viol, atoms = mk.ci_details(margin, mk.EventRef.single(a),
                                     mk.EventRef.single(b), sorted(cond))
         checked += 1
@@ -232,8 +232,8 @@ def _cmd_mc_witness(args) -> int:
     if cpts is None:
         _emit({"found": False})
         return 1
-    dag, latent = mk.latent_expansion(g)
-    margin = mk.ancestral_margin(dag, cpts, {args.a, args.b} | cond, latent)
+    dag, _latent = mk.latent_expansion(g)
+    margin = mk.target_marginal(dag, cpts, {args.a, args.b} | cond)
     viol = mk.ci_violation(margin, mk.EventRef.single(args.a),
                            mk.EventRef.single(args.b), sorted(cond))
     if args.out:

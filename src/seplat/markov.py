@@ -103,6 +103,13 @@ _LUT_AXES = 8
 _LUT_BITS = np.array([[row >> (_LUT_AXES - 1 - col) & 1 for col in range(_LUT_AXES)]
                       for row in range(2 ** _LUT_AXES)], dtype=np.intp)
 _BLOCK_AXES = 16
+# target_marginal streams the joint in groups that fix every axis but the
+# last 16, each continued from one shared head of at most 2^16 atoms and
+# chained into the marginal as one block.  Its peak is then the head, a
+# group's last fold step (2^15 + 2^16 atoms) and the block's bins: 1.75 MB.
+# 2^17-atom groups ran 10-15% faster on 21-22 vertices but peaked at 2.6 MB.
+_GROUP_AXES = 16
+_HEAD_AXES = 16
 
 
 def _atom_bins(weights: list[int]) -> np.ndarray:
@@ -115,6 +122,13 @@ def _atom_bins(weights: list[int]) -> np.ndarray:
     return bins
 
 
+def _axis_weights(vars: Iterable[str], keep: list[str]) -> list[int]:
+    """Output-index weight of each variable for the marginal over the sorted
+    names keep: 2^(len(keep) - 1 - rank) when kept, 0 when dropped."""
+    rank = {v: r for r, v in enumerate(keep)}
+    return [2 ** (len(keep) - 1 - rank[v]) if v in rank else 0 for v in vars]
+
+
 def _marginal_table(table: np.ndarray, weights: list[int]) -> np.ndarray:
     """Flat marginal of table: weights[i] is the output-index weight of axis
     i, a distinct power of two for a kept axis and 0 for a dropped one.
@@ -122,31 +136,48 @@ def _marginal_table(table: np.ndarray, weights: list[int]) -> np.ndarray:
     Every output atom adds its input atoms left to right in C order,
     starting from 0.0, which is what table.sum(axis=dropped) does whenever
     the last axis is kept, so the two agree bit for bit there.  One
-    np.bincount does the additions.  Tables above 2^16 atoms go block by
-    block: the bins of a block's output atoms are prefixed with their
-    partial sums, and since 0.0 + s == s each addition chain continues
-    exactly.  Scratch memory is a few 2^16-entry arrays whatever the size.
+    np.bincount does the additions; tables above 2^16 atoms go through
+    _chain_blocks, 2^16 atoms at a time.
     """
     flat = table.reshape(-1)
-    size = 2 ** sum(1 for w in weights if w)
     low = len(weights) - _BLOCK_AXES
     if low <= 0:
-        return np.bincount(_atom_bins(weights), flat, minlength=size)
+        return np.bincount(_atom_bins(weights), flat,
+                           minlength=2 ** sum(1 for w in weights if w))
+    blocks = (block.copy() for block in flat.reshape(2 ** low, -1))
+    return _chain_blocks(blocks, weights, _BLOCK_AXES)
+
+
+def _chain_blocks(blocks: Iterable[np.ndarray], weights: list[int],
+                  block_axes: int) -> np.ndarray:
+    """_marginal_table of a table given as its blocks: the flat 2^block_axes
+    atoms of each assignment of the leading axes, in C order, as arrays
+    that the chain may overwrite.
+
+    Each block is one np.bincount.  First the partial sum of each of its
+    output atoms is added to that atom's first input atom in the block;
+    since 0.0 + s == s and s + a == a + s, each addition chain continues
+    exactly, so the bits are those of one np.bincount over the whole
+    table.  Scratch memory is the bins of one block.
+    """
+    low = len(weights) - block_axes
+    tail = weights[low:]
     # A block fixes the leading axes; its output atoms are offset + out_bins.
-    kept = sorted((w for w in weights[low:] if w), reverse=True)
-    local = {w: 2 ** (len(kept) - 1 - r) for r, w in enumerate(kept)}
-    n_local = 2 ** len(kept)
-    bins = np.concatenate([np.arange(n_local),
-                           _atom_bins([local.get(w, 0) for w in weights[low:]])])
-    out_bins = _atom_bins(kept)
-    out = np.zeros(size)
-    scratch = np.empty(len(bins))
-    offsets = _atom_bins(weights[:low])
-    for offset, block in zip(offsets, flat.reshape(len(offsets), -1)):
+    kept = sorted((i for i, w in enumerate(tail) if w), key=lambda i: -tail[i])
+    local = [0] * block_axes
+    for r, i in enumerate(kept):
+        local[i] = 2 ** (len(kept) - 1 - r)
+    bins = _atom_bins(local)
+    first = _atom_bins([2 ** (block_axes - 1 - i) for i in kept])
+    out_bins = _atom_bins([tail[i] for i in kept])
+    out = np.zeros(2 ** sum(1 for w in weights if w))
+    blocks = iter(blocks)
+    for offset in _atom_bins(weights[:low]):
         idx = out_bins + offset
-        np.take(out, idx, out=scratch[:n_local])
-        scratch[n_local:] = block
-        out[idx] = np.bincount(bins, scratch, minlength=n_local)
+        block = next(blocks)
+        block[first] += out[idx]
+        out[idx] = np.bincount(bins, block, minlength=len(idx))
+        del block  # so that it is freed before the next block is made
     return out
 
 
@@ -199,9 +230,7 @@ class Distribution:
             raise UnknownVertex(f"variables {missing} not in the distribution")
         if tuple(keep) == self.vars:
             return self
-        rank = {v: r for r, v in enumerate(keep)}
-        weights = [2 ** (len(keep) - 1 - rank[v]) if v in rank else 0 for v in self.vars]
-        table = _marginal_table(self.table, weights)
+        table = _marginal_table(self.table, _axis_weights(self.vars, keep))
         return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
@@ -217,6 +246,9 @@ class EventRef:
             raise ValueError("vertex/value length mismatch")
         if any(v not in (0, 1) for v in self.values):
             raise ValueError("values must be 0 or 1")
+        for v in self.vertices:
+            if self.vertices.count(v) > 1:
+                raise ValueError(f"vertex {v!r} appears more than once in the event")
 
     @classmethod
     def single(cls, vertex: str, value: int = 1) -> "EventRef":
@@ -298,6 +330,41 @@ def _fold_new_last_axis(table: np.ndarray, axis: int, scope: list[int],
     return new
 
 
+def _fold(table: np.ndarray, steps: Iterable[tuple]) -> np.ndarray:
+    """Multiply table by the factor of each step in turn.
+
+    A step is (axis, parents, halves): the vertex's table axis, its
+    parents' axes in ascending order, and its factor for each of its values,
+    one array axis per parent.  A vertex fixed at one value has axis None,
+    and halves holds only the factor of that value.  A table axis of size 1
+    is one no factor has reached yet.
+    """
+    for axis, parents, halves in steps:
+        scope = [i for i, size in enumerate(table.shape) if size == 2]
+        parents_in_scope = set(parents) <= set(scope)
+        if axis is None:
+            factor, axes = halves[0], parents
+        elif parents_in_scope and axis > max(scope, default=-1):
+            table = _fold_new_last_axis(table, axis, scope, parents, halves)
+            continue
+        else:
+            factor = np.stack(halves, axis=sum(p < axis for p in parents))
+            axes = sorted([axis, *parents])
+        factor = factor.reshape([2 if i in axes else 1 for i in range(table.ndim)])
+        if set(axes) <= set(scope):
+            np.multiply(table, factor, out=table)
+        else:
+            table = table * factor
+    return table
+
+
+def _cpt_steps(verts: tuple[str, ...], cpts: CptSet) -> list[tuple]:
+    """The fold step of each vertex of verts, in that order."""
+    pos = {v: i for i, v in enumerate(verts)}
+    return [(pos[v], [pos[p] for p in cpts.tables[v].parents],
+             (1.0 - cpts.tables[v].p1, cpts.tables[v].p1)) for v in verts]
+
+
 def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     """Dense joint over verts, which must be sorted, one axis per vertex.
 
@@ -318,27 +385,48 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     Any other step (a parent outside the scope, which an order that is not
     topological allows: box latents sort after their children) is a
     broadcast product, done in place when the scope does not grow.
+    _joint_groups takes the same steps without ever holding this table.
     """
-    pos = {v: i for i, v in enumerate(verts)}
-    table = np.ones((1,) * len(verts))
-    for v in verts:
-        cpt = cpts.tables[v]
-        axis = pos[v]
-        parents = [pos[p] for p in cpt.parents]
-        scope = [i for i, size in enumerate(table.shape) if size == 2]
-        halves = (1.0 - cpt.p1, cpt.p1)
-        parents_in_scope = set(parents) <= set(scope)
-        if parents_in_scope and axis > max(scope, default=-1):
-            table = _fold_new_last_axis(table, axis, scope, parents, halves)
-            continue
-        factor = np.stack(halves, axis=sum(p < axis for p in parents))
-        factor = factor.reshape([2 if i == axis or i in parents else 1
-                                 for i in range(len(verts))])
-        if axis in scope and parents_in_scope:
-            np.multiply(table, factor, out=table)
-        else:
-            table = table * factor
-    return table
+    return _fold(np.ones((1,) * len(verts)), _cpt_steps(verts, cpts))
+
+
+def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
+                  lead: int) -> Iterable[np.ndarray]:
+    """The atoms of _tensor_joint(verts, cpts), bit for bit, in C order,
+    one group at a time: a group is the flat table over the trailing axes
+    for one assignment of the leading lead axes.
+
+    The longest prefix of the steps whose scope stays within _HEAD_AXES
+    axes is folded once, into the head.  Each group continues the fold from
+    its row of the head (the head at the group's values), with the other
+    CPTs sliced at the group's values of their parents; a vertex among the
+    leading axes multiplies by its factor at its value.  Every atom is the
+    same product in the same order as in _tensor_joint, and no table is
+    larger than the head or one group.
+    """
+    steps = _cpt_steps(verts, cpts)
+    scope: set[int] = set()
+    for h, (axis, parents, _halves) in enumerate(steps):
+        scope |= {axis, *parents}
+        if len(scope) > _HEAD_AXES:
+            break
+    else:
+        h = len(steps)
+    head = _fold(np.ones((1,) * len(verts)), steps[:h])
+    for group in range(2 ** lead):
+        fixed = [group >> (lead - 1 - i) & 1 for i in range(lead)]
+        tail = []
+        for axis, parents, halves in steps[h:]:
+            at = tuple(fixed[p] if p < lead else slice(None) for p in parents)
+            halves = tuple(half[at] for half in halves)
+            free = [p - lead for p in parents if p >= lead]
+            if axis < lead:
+                tail.append((None, free, (halves[fixed[axis]],)))
+            else:
+                tail.append((axis - lead, free, halves))
+        # a copy of the row: the fold may multiply its table in place
+        row = head[tuple(x if size == 2 else 0 for x, size in zip(fixed, head.shape))]
+        yield _fold(row.copy(), tail).reshape(-1)
 
 
 def joint(dag: MixedGraph, cpts: CptSet, latent: Iterable[str] = ()) -> Distribution:
@@ -362,16 +450,12 @@ def ancestral_closure(dag: MixedGraph, targets: Iterable[str],
     return closure
 
 
-def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
-                     latent: Iterable[str] = (),
-                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
-    """Exact marginal over the observed part of the ancestral closure of the
-    targets.  Vertices outside the closure are barren and never enumerated,
-    which keeps large lattice graphs within the budget.  Every closure
-    vertex needs a CPT (UnknownVertex) that lists exactly its parents in
-    the graph (ValueError)."""
-    closure = ancestral_closure(dag, targets, budget)
-    verts = tuple(sorted(closure))
+def _checked_closure(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
+                     budget: int) -> tuple[str, ...]:
+    """The sorted ancestral closure of the targets (BudgetExceeded above
+    budget vertices), each vertex with a CPT (UnknownVertex) that lists
+    exactly its parents in the graph (ValueError)."""
+    verts = tuple(sorted(ancestral_closure(dag, targets, budget)))
     missing = [v for v in verts if v not in cpts.tables]
     if missing:
         raise UnknownVertex(f"no CPT for vertices {missing}")
@@ -379,13 +463,53 @@ def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
         if cpts.tables[v].parents != dag.parents_of(v):
             raise ValueError(f"CPT of {v!r} lists parents {list(cpts.tables[v].parents)}, "
                              f"the graph gives {list(dag.parents_of(v))}")
+    return verts
+
+
+def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
+                     latent: Iterable[str] = (),
+                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
+    """Exact marginal over the observed part of the ancestral closure of the
+    targets.  Vertices outside the closure are barren and never enumerated,
+    which keeps large lattice graphs within the budget.  The closure's
+    joint is built whole (see _tensor_joint: on a topological order its
+    peak memory is 1.5 times the table) and its latents are summed out with
+    numpy's sum; for the marginal over the targets alone, target_marginal
+    never holds the closure's table."""
+    verts = _checked_closure(dag, cpts, targets, budget)
     table = _tensor_joint(verts, cpts)
-    latent = frozenset(latent) & closure
+    latent = frozenset(latent) & set(verts)
     if latent:
         drop = tuple(i for i, v in enumerate(verts) if v in latent)
         table = table.sum(axis=drop)
     observed = tuple(v for v in verts if v not in latent)
     return Distribution._built(observed, table)
+
+
+def target_marginal(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
+                    budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
+    """Exact marginal over the targets, streamed from the CPTs of their
+    ancestral closure, with the closure checks of ancestral_margin.
+
+    Its bits are those of _marginal_table over the closure's joint, which
+    is ancestral_margin(...).marginal(targets) when the closure has no
+    latents.  Latents are summed out in the same pass as every other
+    closure vertex that is not a target, not first by numpy's sum, so with
+    latents the last bits may differ from that route.  Above 2^_GROUP_AXES
+    atoms the joint comes in groups (see _joint_groups), each chained into
+    the output as one block, so scratch memory is a few 2^16-atom arrays
+    whatever the budget.
+    """
+    targets = frozenset(targets)
+    verts = _checked_closure(dag, cpts, targets, budget)
+    keep = sorted(targets)
+    weights = _axis_weights(verts, keep)
+    lead = len(verts) - _GROUP_AXES
+    if lead <= 0:
+        table = _marginal_table(_tensor_joint(verts, cpts), weights)
+    else:
+        table = _chain_blocks(_joint_groups(verts, cpts, lead), weights, _GROUP_AXES)
+    return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +779,7 @@ def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
     if verdict.separated:
         raise SeparatedInput(f"{a!r} and {b!r} are separated by the given set")
 
-    dag, latent = latent_expansion(g)
+    dag, _latent = latent_expansion(g)
     base = _channel_tables(dag, _aligned_assignment(g, dag, cond, verdict.witness))
     ev_a, ev_b = EventRef.single(a), EventRef.single(b)
 
@@ -671,7 +795,7 @@ def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
                 arr = np.clip(base[v] + rng.uniform(-amp, amp, size=shape), 0.05, 0.95)
             tables[v] = VertexCpt(dag.parents_of(v), arr)
         cpts = CptSet(tables)
-        margin = ancestral_margin(dag, cpts, {a, b} | cond, latent)
+        margin = target_marginal(dag, cpts, {a, b} | cond)
         if ci_violation(margin, ev_a, ev_b, sorted(cond)) > threshold:
             return cpts
     return None

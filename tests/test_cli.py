@@ -317,13 +317,13 @@ def test_mc_soundness_builds_margins_only_for_checked_trials(tmp_path, capsys, m
     assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "3",
                  "--jmin", "0", "--jmax", "3", "--out", str(path)]) == 0
     calls = []
-    original = seplat.markov.ancestral_margin
+    original = seplat.markov.target_marginal
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(seplat.markov, "ancestral_margin", counting)
+    monkeypatch.setattr(seplat.markov, "target_marginal", counting)
     report = tmp_path / "mc.csv"
     code = main(["mc", "soundness", "--graph", str(path), "--trials", "40", "--seed", "3",
                  "--max-cond", "4", "--budget", "9", "--report", str(report)])

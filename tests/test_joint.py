@@ -3,7 +3,9 @@ np.ones((2,)*n) multiplied by each broadcast CPT factor in sorted-vertex
 order.  The fold must give the same bits on every atom, and on a topological
 label order its peak memory must stay near the old table plus the new one,
 and on box latents, which sort after their children, the in-place step
-must keep it there too."""
+must keep it there too.  The streamed marginal, target_marginal, must give
+the bits of the marginal kernel over that dense product without ever
+holding it."""
 
 import tracemalloc
 
@@ -107,16 +109,18 @@ def test_box_latents_multiply_in_place():
 def soundness_closures(tmp_path_factory):
     """The 6x6 diamond DAG, the closure of each trial of `mc soundness
     --trials 40 --seed 0 --max-cond 6` (None over budget; the trial number is
-    its CPT seed), and (trial, targets) of the one margin the command builds."""
+    its CPT seed), the targets of each closure, and (trial, targets) of the
+    one margin the command builds."""
     graph = tmp_path_factory.mktemp("joint") / "g.json"
     assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "5",
                  "--jmin", "0", "--jmax", "5", "--out", str(graph)]) == 0
-    dags, closures, margins = [], [], []
+    dags, closures, queries, margins = [], [], [], []
     mp = pytest.MonkeyPatch()
-    closure_of, margin_of = markov.ancestral_closure, markov.ancestral_margin
+    closure_of, margin_of = markov.ancestral_closure, markov.target_marginal
 
     def closure(dag, targets, budget=markov.DEFAULT_JOINT_BUDGET):
         dags.append(dag)
+        queries.append(frozenset(targets))
         try:
             found = closure_of(dag, targets, budget)
         except markov.BudgetExceeded:
@@ -130,18 +134,18 @@ def soundness_closures(tmp_path_factory):
         return margin_of(dag, cpts, targets, *args)
 
     mp.setattr(markov, "ancestral_closure", closure)
-    mp.setattr(markov, "ancestral_margin", margin)
+    mp.setattr(markov, "target_marginal", margin)
     try:
         assert main(["mc", "soundness", "--graph", str(graph), "--trials", "40",
                      "--seed", "0", "--max-cond", "6"]) == 0
     finally:
         mp.undo()
-    return dags[0], closures, margins
+    return dags[0], closures, queries, margins
 
 
 @pytest.mark.parametrize("n_vars", [21, 22])
 def test_fold_matches_dense_on_soundness_margins(soundness_closures, n_vars):
-    dag, closures, _ = soundness_closures
+    dag, closures, _, _ = soundness_closures
     trial = next(t for t, c in enumerate(closures) if c is not None and len(c) == n_vars)
     verts = tuple(sorted(closures[trial]))
     cpts = markov.random_cpts(dag, trial)
@@ -150,7 +154,7 @@ def test_fold_matches_dense_on_soundness_margins(soundness_closures, n_vars):
 
 
 def test_soundness_margin_peak_memory(soundness_closures):
-    dag, closures, [(trial, targets)] = soundness_closures
+    dag, closures, _, [(trial, targets)] = soundness_closures
     assert len(closures[trial]) == 21
     cpts = markov.random_cpts(dag, trial)
     tracemalloc.start()
@@ -162,3 +166,85 @@ def test_soundness_margin_peak_memory(soundness_closures):
         tracemalloc.stop()
     # the old table plus the new one is 1.5x; the dense product needs 2x
     assert peak < 1.6 * margin.table.nbytes
+
+
+def marginal_reference(dag, cpts, targets):
+    """The marginal kernel over the dense product of the targets' closure."""
+    verts = tuple(sorted(markov.ancestral_closure(dag, targets)))
+    weights = markov._axis_weights(verts, sorted(targets))
+    return markov._marginal_table(dense_joint(verts, cpts), weights)
+
+
+def assert_streamed_bits(dag, cpts, targets, head_axes, group_axes):
+    want = marginal_reference(dag, cpts, targets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "_HEAD_AXES", head_axes)
+        mp.setattr(markov, "_GROUP_AXES", group_axes)
+        got = markov.target_marginal(dag, cpts, targets)
+    assert got.vars == tuple(sorted(targets))
+    assert got.table.reshape(-1).tobytes() == want.tobytes()
+    return got
+
+
+def head_and_group_axes(n_vertices):
+    """Small head and group sizes run many groups on small graphs (up to 12
+    vertices, to keep the number of groups down); 16 and 16 are the
+    module's own sizes, which stream only closures above 16 vertices."""
+    small = st.sampled_from([(4, 2), (0, 1), (3, 3), (6, 4)])
+    return st.one_of(small, st.just((16, 16))) if n_vertices <= 12 else st.just((16, 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 18), st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1), st.data())
+def test_streamed_marginal_matches_dense_on_random_dags(n, edge_prob, seed, data):
+    # labels v0..v17: v10 sorts before v9, so parents often sort later
+    dag = random_dag(n, edge_prob, seed)
+    targets = data.draw(st.sets(st.sampled_from(sorted(dag.vertices)), min_size=1))
+    cpts = markov.random_cpts(dag, seed)
+    got = assert_streamed_bits(dag, cpts, targets, *data.draw(head_and_group_axes(n)))
+    # latent-free, so the old route gives the same bits
+    want = markov.ancestral_margin(dag, cpts, targets).marginal(targets)
+    assert got.table.tobytes() == want.table.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.floats(0.1, 0.6), st.integers(0, 2 ** 32 - 1), st.data())
+def test_streamed_marginal_matches_dense_on_latent_expansions(n, edge_prob, seed, data):
+    # latents lat(...) sort after their children
+    g = random_mixed_graph(n, edge_prob, seed)
+    dag, _latent = markov.latent_expansion(g)
+    assume(len(dag.vertices) <= 18)
+    targets = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), min_size=1))
+    axes = data.draw(head_and_group_axes(len(dag.vertices)))
+    assert_streamed_bits(dag, markov.random_cpts(dag, seed), targets, *axes)
+
+
+def test_streamed_head_and_groups_broadcast_when_a_parent_sorts_later():
+    # sorted order v10, v8, v9, w, and v10's parent v9 sorts after it.  A
+    # 2-axis head folds v10 alone, a broadcast step that brings in v9's axis;
+    # with 1-axis groups v8 and v9 are then fixed leading vertices, and v9's
+    # axis is already in the head's scope.  With no head, v10's factor is a
+    # broadcast over v9's free axis in every group.
+    dag = build_graph(["v8", "v9", "v10", "w"],
+                      [("v8", "v9"), ("v9", "v10"), ("v10", "w")])
+    cpts = markov.random_cpts(dag, 5)
+    for axes in ((2, 1), (0, 2), (1, 3)):
+        for targets in ({"w"}, {"v8", "w"}, {"v10", "v9"}):
+            assert_streamed_bits(dag, cpts, targets, *axes)
+
+
+@pytest.mark.parametrize("n_vars", [21, 22])
+def test_streamed_marginal_on_soundness_closures(soundness_closures, n_vars):
+    dag, closures, queries, _ = soundness_closures
+    trial = next(t for t, c in enumerate(closures) if c is not None and len(c) == n_vars)
+    cpts = markov.random_cpts(dag, trial)
+    assert_streamed_bits(dag, cpts, queries[trial], markov._HEAD_AXES, markov._GROUP_AXES)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        markov.target_marginal(dag, cpts, queries[trial])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the dense joint alone is 16 MB on 21 vertices and 32 MB on 22
+    assert peak < 2 * 2 ** 20

@@ -57,15 +57,18 @@ def test_marginal_bits_on_the_soundness_cli_margin(tmp_path, monkeypatch):
     assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "5",
                  "--jmin", "0", "--jmax", "5", "--out", str(graph)]) == 0
     seen = []
-    original = markov.ci_details
+    original = markov.target_marginal
 
-    def capture(d, a, b, cond):
-        seen.append((d, a.vertices + b.vertices + tuple(cond)))
-        return original(d, a, b, cond)
+    def capture(dag, cpts, targets, *args):
+        seen.append((dag, cpts, sorted(targets)))
+        return original(dag, cpts, targets, *args)
 
-    monkeypatch.setattr(markov, "ci_details", capture)
+    monkeypatch.setattr(markov, "target_marginal", capture)
     assert main(["mc", "soundness", "--graph", str(graph), "--trials", "40",
                  "--seed", "0", "--max-cond", "6"]) == 0
-    [(margin, keep)] = seen
+    [(dag, cpts, keep)] = seen
+    margin = markov.ancestral_margin(dag, cpts, keep)
     assert len(margin.vars) == 21 and margin.vars[-1] in keep
-    assert margin.marginal(keep).table.tobytes() == numpy_marginal(margin, keep).tobytes()
+    want = numpy_marginal(margin, keep).tobytes()
+    assert margin.marginal(keep).table.tobytes() == want
+    assert original(dag, cpts, keep).table.tobytes() == want

@@ -162,6 +162,12 @@ def test_event_ref_validation():
         EventRef(("a", "b"), (1,))
 
 
+def test_event_ref_rejects_a_repeated_vertex():
+    # once constructed, such an event would fail in ci_violation's transpose
+    with pytest.raises(ValueError, match="'a'"):
+        EventRef(("a", "a"), (1, 0))
+
+
 def test_distribution_validation():
     for table in ([0.6, 0.6], [np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(ValueError):
