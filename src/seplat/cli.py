@@ -53,6 +53,17 @@ def sweep_csv_row(r: lat.Prop1Row) -> list[str]:
             format_path(r.witness) if r.witness else "-"]
 
 
+def mc_query(a: str, b: str, cond: Sequence[str]) -> str:
+    """The query column of an MC report: a_|_b|c1+c2+..."""
+    return f"{a}_|_{b}|{'+'.join(cond)}"
+
+
+def mc_csv_row(c: mk.ScreeningCheck) -> list:
+    """One CI-checked MC report line, in MC_CSV_HEADER order."""
+    return [mc_query(*c.pair, c.region), c.atoms, f"{c.violation:.3e}",
+            "ci" if c.passed else "violation"]
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -182,11 +193,9 @@ def _cmd_prop1_verify(args) -> int:
 
 def _cmd_mc_soundness(args) -> int:
     g, _kind, _window = _load_graph(args.graph)
-    dag, _latent = mk.latent_expansion(g)
+    dag = mk.latent_expansion(g)
     observed = sorted(g.vertices)
-    checked = skipped = 0
-    max_violation = 0.0
-    violations = []
+    checks = []
     rows = []
     for trial in range(args.trials):
         seed = args.seed * 1_000_003 + trial
@@ -194,33 +203,31 @@ def _cmd_mc_soundness(args) -> int:
         a, b = rng.sample(observed, 2)
         rest = [v for v in observed if v not in (a, b)]
         cond = frozenset(rng.sample(rest, min(rng.randint(0, args.max_cond), len(rest))))
-        query = f"{a}_|_{b}|{'+'.join(sorted(cond))}"
+        query = mc_query(a, b, sorted(cond))
         # Cheap tests first: the margin is built only for trials it checks.
         try:
             mk.ancestral_closure(dag, {a, b} | cond, args.budget)
         except BudgetExceeded:
-            skipped += 1
             rows.append([query, 0, "", "skipped:budget"])
             continue
         if not is_separated(g, SeparationQuery(a, b, cond)).separated:
-            skipped += 1
             rows.append([query, 0, "", "skipped:connected"])
             continue
         margin = mk.target_marginal(dag, mk.random_cpts(dag, seed),
                                     {a, b} | cond, args.budget)
         viol, atoms = mk.ci_details(margin, mk.EventRef.single(a),
                                     mk.EventRef.single(b), sorted(cond))
-        checked += 1
-        max_violation = max(max_violation, viol)
-        ok = viol <= args.tol
-        rows.append([query, atoms, f"{viol:.3e}", "ci" if ok else "violation"])
-        if not ok:
-            violations.append({"a": a, "b": b, "cond": sorted(cond), "violation": viol})
+        checks.append(mk.ScreeningCheck((a, b), tuple(sorted(cond)), atoms, viol,
+                                        viol <= args.tol))
+        rows.append(mc_csv_row(checks[-1]))
     if args.report:
         write_report(args.report, MC_CSV_HEADER, rows)
-    _emit({"trials": args.trials, "checked": checked, "skipped": skipped,
-           "max_violation": max_violation, "violations": violations,
-           "report": args.report})
+    violations = [{"a": c.pair[0], "b": c.pair[1], "cond": list(c.region),
+                   "violation": c.violation} for c in checks if not c.passed]
+    _emit({"trials": args.trials, "checked": len(checks),
+           "skipped": args.trials - len(checks),
+           "max_violation": max((c.violation for c in checks), default=0.0),
+           "violations": violations, "report": args.report})
     return 0 if not violations else 1
 
 
@@ -232,8 +239,7 @@ def _cmd_mc_witness(args) -> int:
     if cpts is None:
         _emit({"found": False})
         return 1
-    dag, _latent = mk.latent_expansion(g)
-    margin = mk.target_marginal(dag, cpts, {args.a, args.b} | cond)
+    margin = mk.target_marginal(mk.latent_expansion(g), cpts, {args.a, args.b} | cond)
     viol = mk.ci_violation(margin, mk.EventRef.single(args.a),
                            mk.EventRef.single(args.b), sorted(cond))
     if args.out:
@@ -247,15 +253,12 @@ def _cmd_mc_witness(args) -> int:
 def _cmd_mc_local_causality(args) -> int:
     g, kind, window = _load_graph(args.graph)
     window = _require_lattice(kind, window)
-    dag, _latent = mk.latent_expansion(g)
-    cpts = mk.random_cpts(dag, args.seed)
+    cpts = mk.random_cpts(mk.latent_expansion(g), args.seed)
     report = mk.is_locally_causal(kind, window, cpts, args.variant,
                                   tol=args.tol, max_cells=args.max_cells)
     if args.report:
-        rows = [[f"{c.pair[0]}_|_{c.pair[1]}|{'+'.join(c.region)}", c.atoms,
-                 f"{c.violation:.3e}", "ci" if c.passed else "violation"]
-                for p in report.probes for c in p.checks]
-        write_report(args.report, MC_CSV_HEADER, rows)
+        write_report(args.report, MC_CSV_HEADER,
+                     [mc_csv_row(c) for p in report.probes for c in p.checks])
     _emit({
         "locally_causal": report.locally_causal,
         "screening_failures": len(report.failures),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -137,9 +137,12 @@ def _marginal_table(table: np.ndarray, weights: list[int]) -> np.ndarray:
     starting from 0.0, which is what table.sum(axis=dropped) does whenever
     the last axis is kept, so the two agree bit for bit there.  One
     np.bincount does the additions; tables above 2^16 atoms go through
-    _chain_blocks, 2^16 atoms at a time.
+    _chain_blocks, 2^16 atoms at a time.  Weights that keep every axis in
+    order give the table itself, flat.
     """
     flat = table.reshape(-1)
+    if weights == [2 ** i for i in reversed(range(len(weights)))]:
+        return flat
     low = len(weights) - _BLOCK_AXES
     if low <= 0:
         return np.bincount(_atom_bins(weights), flat,
@@ -219,17 +222,11 @@ class Distribution:
         d.table = table
         return d
 
-    def prob(self, assignment: Mapping[str, int]) -> float:
-        idx = tuple(int(assignment[v]) for v in self.vars)
-        return float(self.table[idx])
-
     def marginal(self, names: Iterable[str]) -> "Distribution":
         keep = sorted(set(names))
         missing = [n for n in keep if n not in self.vars]
         if missing:
             raise UnknownVertex(f"variables {missing} not in the distribution")
-        if tuple(keep) == self.vars:
-            return self
         table = _marginal_table(self.table, _axis_weights(self.vars, keep))
         return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
@@ -244,8 +241,10 @@ class EventRef:
     def __post_init__(self) -> None:
         if len(self.vertices) != len(self.values):
             raise ValueError("vertex/value length mismatch")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("values must be 0 or 1")
+        # bool is an int subclass, so True and False are named here
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               or v not in (0, 1) for v in self.values):
+            raise ValueError("values must be the integers 0 or 1")
         for v in self.vertices:
             if self.vertices.count(v) > 1:
                 raise ValueError(f"vertex {v!r} appears more than once in the event")
@@ -273,19 +272,20 @@ def latent_names(g: MixedGraph) -> dict[tuple[str, str], str]:
     return names
 
 
-def latent_expansion(g: MixedGraph) -> tuple[MixedGraph, frozenset[str]]:
+def latent_expansion(g: MixedGraph) -> MixedGraph:
     """Replace each bidirected edge {u, v} with a fresh latent parent w -> u,
-    w -> v.  DAG inputs come back unchanged."""
+    w -> v.  DAG inputs come back unchanged.  The latents are the vertices
+    of the result that are not in g; a margin sums them out like any other
+    vertex it does not keep."""
     if not g.bidirected:
-        return g, frozenset()
+        return g
     names = latent_names(g)
     vertices = list(g.vertices) + list(names.values())
     directed = list(g.directed)
     for (u, v), name in names.items():
         directed.append((name, u))
         directed.append((name, v))
-    dag = graph_mod.build_graph(vertices, directed, ())
-    return dag, frozenset(names.values())
+    return graph_mod.build_graph(vertices, directed, ())
 
 
 def random_cpts(g: MixedGraph, seed: int) -> CptSet:
@@ -385,7 +385,9 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     Any other step (a parent outside the scope, which an order that is not
     topological allows: box latents sort after their children) is a
     broadcast product, done in place when the scope does not grow.
-    _joint_groups takes the same steps without ever holding this table.
+    _closure_marginal folds this table whole when it keeps every vertex or
+    there are at most _GROUP_AXES of them; otherwise _joint_groups takes
+    the same steps without ever holding it.
     """
     return _fold(np.ones((1,) * len(verts)), _cpt_steps(verts, cpts))
 
@@ -429,14 +431,6 @@ def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
         yield _fold(row.copy(), tail).reshape(-1)
 
 
-def joint(dag: MixedGraph, cpts: CptSet, latent: Iterable[str] = ()) -> Distribution:
-    """Exact joint of a CPT-parameterized DAG; latent vertices are summed out
-    of the returned distribution."""
-    if dag.bidirected:
-        raise ValueError("joint needs a DAG; expand bidirected edges first")
-    return ancestral_margin(dag, cpts, dag.vertices, latent)
-
-
 def ancestral_closure(dag: MixedGraph, targets: Iterable[str],
                       budget: int = DEFAULT_JOINT_BUDGET) -> frozenset[str]:
     """Inclusive ancestral closure of the targets, the scope of their exact
@@ -466,58 +460,61 @@ def _checked_closure(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
     return verts
 
 
-def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
-                     latent: Iterable[str] = (),
-                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
-    """Exact marginal over the observed part of the ancestral closure of the
-    targets.  Vertices outside the closure are barren and never enumerated,
-    which keeps large lattice graphs within the budget.  The closure's
-    joint is built whole (see _tensor_joint: on a topological order its
-    peak memory is 1.5 times the table) and its latents are summed out with
-    numpy's sum; for the marginal over the targets alone, target_marginal
-    never holds the closure's table."""
-    verts = _checked_closure(dag, cpts, targets, budget)
-    table = _tensor_joint(verts, cpts)
-    latent = frozenset(latent) & set(verts)
-    if latent:
-        drop = tuple(i for i, v in enumerate(verts) if v in latent)
-        table = table.sum(axis=drop)
-    observed = tuple(v for v in verts if v not in latent)
-    return Distribution._built(observed, table)
-
-
-def target_marginal(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
-                    budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
-    """Exact marginal over the targets, streamed from the CPTs of their
-    ancestral closure, with the closure checks of ancestral_margin.
-
-    Its bits are those of _marginal_table over the closure's joint, which
-    is ancestral_margin(...).marginal(targets) when the closure has no
-    latents.  Latents are summed out in the same pass as every other
-    closure vertex that is not a target, not first by numpy's sum, so with
-    latents the last bits may differ from that route.  Above 2^_GROUP_AXES
-    atoms the joint comes in groups (see _joint_groups), each chained into
-    the output as one block, so scratch memory is a few 2^16-atom arrays
-    whatever the budget.
-    """
-    targets = frozenset(targets)
-    verts = _checked_closure(dag, cpts, targets, budget)
-    keep = sorted(targets)
+def _closure_marginal(verts: tuple[str, ...], cpts: CptSet,
+                      keep: Iterable[str]) -> Distribution:
+    """Exact marginal over keep of the joint of verts, a closure from
+    _checked_closure.  Every other vertex, latent or not, is summed out in
+    the one pass of _marginal_table.  The joint is folded whole when keep
+    is all of verts (streaming it would be 4-5 times slower above 16
+    vertices) or there are at most _GROUP_AXES of them.  Otherwise it comes
+    in groups (see _joint_groups), each chained into the output as one
+    block, so scratch memory is a few 2^16-atom arrays whatever the budget.
+    Both give the same bits."""
+    keep = sorted(keep)
     weights = _axis_weights(verts, keep)
     lead = len(verts) - _GROUP_AXES
-    if lead <= 0:
+    if len(keep) == len(verts) or lead <= 0:
         table = _marginal_table(_tensor_joint(verts, cpts), weights)
     else:
         table = _chain_blocks(_joint_groups(verts, cpts, lead), weights, _GROUP_AXES)
     return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
+def joint(dag: MixedGraph, cpts: CptSet) -> Distribution:
+    """Exact joint of a CPT-parameterized DAG, one axis per vertex.  Sum the
+    latents of an expansion out with .marginal(observed vertices)."""
+    if dag.bidirected:
+        raise ValueError("joint needs a DAG; expand bidirected edges first")
+    return ancestral_margin(dag, cpts, dag.vertices)
+
+
+def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
+                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
+    """Exact joint of the ancestral closure of the targets, latents
+    included.  Vertices outside the closure are barren and never
+    enumerated, which keeps large lattice graphs within the budget.  The
+    table is the whole fold of _tensor_joint: on a topological order its
+    peak memory is 1.5 times the table."""
+    verts = _checked_closure(dag, cpts, targets, budget)
+    return _closure_marginal(verts, cpts, verts)
+
+
+def target_marginal(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
+                    budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
+    """Exact marginal over the targets, with the closure checks of
+    ancestral_margin and the bits of ancestral_margin(...).marginal(targets).
+    Above _GROUP_AXES closure vertices it never holds the closure's table
+    (see _closure_marginal)."""
+    targets = frozenset(targets)
+    return _closure_marginal(_checked_closure(dag, cpts, targets, budget), cpts, targets)
+
+
 # ---------------------------------------------------------------------------
 # Conditional independence
 
 
-def _ci(d: Distribution, a: EventRef, b: EventRef,
-        cond: Iterable[str]) -> tuple[float, int]:
+def ci_details(d: Distribution, a: EventRef, b: EventRef,
+               cond: Iterable[str]) -> tuple[float, int]:
     """Max over positive-probability atoms of |p(AB|c) - p(A|c) p(B|c)|,
     plus the number of atoms checked."""
     cond = sorted(set(cond))
@@ -544,13 +541,8 @@ def _ci(d: Distribution, a: EventRef, b: EventRef,
 
 def ci_violation(d: Distribution, a: EventRef, b: EventRef,
                  cond: Iterable[str]) -> float:
-    return _ci(d, a, b, cond)[0]
-
-
-def ci_details(d: Distribution, a: EventRef, b: EventRef,
-               cond: Iterable[str]) -> tuple[float, int]:
-    """(max violation, number of positive-probability atoms checked)."""
-    return _ci(d, a, b, cond)
+    """The max violation of ci_details, without the atom count."""
+    return ci_details(d, a, b, cond)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +640,19 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
                       max_cells: int | None = None) -> LocalCausalityReport:
     """Screening-off audit: for each spacelike probe pair, every enumerated
     shielder-off region and every positive-probability atom of it, check
-    that conditioning factorizes the pair."""
+    that conditioning factorizes the pair.  Each probe's margin is over the
+    observed vertices of its ancestral closure, latents summed out as it
+    streams (see _closure_marginal)."""
     g = lattice_mod.build_graph(kind, window)
-    dag, latent = latent_expansion(g)
+    dag = latent_expansion(g)
     if probes is None:
         probes = [lattice_mod.canonical_probe_pair(kind, window)]
 
     report = LocalCausalityReport(variant)
     for cell_a, cell_b in probes:
         a, b = cell_a.label, cell_b.label
-        dag.require((a, b))
-        margin = ancestral_margin(dag, cpts, (a, b), latent)
+        verts = _checked_closure(dag, cpts, (a, b), DEFAULT_JOINT_BUDGET)
+        margin = _closure_marginal(verts, cpts, [v for v in verts if v in g])
         ev_a, ev_b = EventRef.single(a), EventRef.single(b)
         gap = ci_violation(margin, ev_a, ev_b, ())
         probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
@@ -667,8 +661,8 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
             if not (l1 and l2 and l3):
                 continue
             # L1 cells lie in A's causal past, so in the window they are graph
-            # ancestors of a, all in the margin; else _ci raises UnknownVertex
-            viol, atoms = _ci(margin, ev_a, ev_b, labels)
+            # ancestors of a, all in the margin; else ci_details raises UnknownVertex
+            viol, atoms = ci_details(margin, ev_a, ev_b, labels)
             probe.checks.append(ScreeningCheck((a, b), labels, atoms, viol,
                                                viol <= tol))
         report.probes.append(probe)
@@ -779,7 +773,7 @@ def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
     if verdict.separated:
         raise SeparatedInput(f"{a!r} and {b!r} are separated by the given set")
 
-    dag, _latent = latent_expansion(g)
+    dag = latent_expansion(g)
     base = _channel_tables(dag, _aligned_assignment(g, dag, cond, verdict.witness))
     ev_a, ev_b = EventRef.single(a), EventRef.single(b)
 

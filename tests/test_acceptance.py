@@ -150,7 +150,7 @@ def test_criterion_3_prop1_box_m_separation(box69, box_l3c):
     expected_l1 = sum(math.comb(21, k) for k in range(1, 6))
     shielded = [r for r in rep.rows if r.shielder_off]
     directed_part = build_graph(box69.vertices, box69.directed, ())
-    expansion, _latent = latent_expansion(box69)
+    expansion = latent_expansion(box69)
 
     # (a) Without spouse edges the box graph is a DAG, and there every
     # shielder-off region d-separates the probes, as the paper claims.
@@ -208,7 +208,7 @@ def test_criterion_3_box_report_pinned(box_l3c, tmp_path):
 def test_criterion_3_networkx_cross_check(box69, box_l3c):
     nx = pytest.importorskip("networkx")
     rep, _elapsed = box_l3c
-    expansion, _latent = latent_expansion(box69)
+    expansion = latent_expansion(box69)
     dag = nx.DiGraph()
     dag.add_nodes_from(expansion.vertices)
     dag.add_edges_from(expansion.directed)
@@ -272,7 +272,7 @@ def test_criterion_6_cmc(diamond3, box3):
     violations = 0
     checked = 0
     for g in (diamond3, box3):
-        dag, _latent = latent_expansion(g)
+        dag = latent_expansion(g)
         for seed in range(50):
             rep = check_cmc(joint(dag, random_cpts(dag, seed)), dag)
             violations += len(rep.violations)
@@ -341,7 +341,7 @@ def test_criterion_10_latent_expansion_consistency():
     total = agree = 0
     for gi in range(100):
         g = random_mixed_graph(2 + gi % 6, 0.35, seed=3000 + gi)
-        dag, _latent = latent_expansion(g)
+        dag = latent_expansion(g)
         labels = g.vertices
         for a, b in combinations(labels, 2):
             rest = [v for v in labels if v not in (a, b)]

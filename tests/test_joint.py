@@ -54,13 +54,16 @@ def test_fold_matches_dense_on_random_dags(n, edge_prob, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 10), st.floats(0.1, 0.6), st.integers(0, 2 ** 32 - 1))
 def test_fold_matches_dense_on_latent_expansions(n, edge_prob, seed):
-    dag, latent = markov.latent_expansion(random_mixed_graph(n, edge_prob, seed))
+    g = random_mixed_graph(n, edge_prob, seed)
+    dag = markov.latent_expansion(g)
     assume(len(dag.vertices) <= 18)
     cpts = markov.random_cpts(dag, seed)
     assert_same_bits(dag, cpts)
     verts = tuple(sorted(dag.vertices))
-    drop = tuple(i for i, v in enumerate(verts) if v in latent)
-    d = markov.joint(dag, cpts, latent)
+    # latents lat(...) sort before v..., so the last axis is kept and the
+    # one-pass marginal has numpy's bits
+    drop = tuple(i for i, v in enumerate(verts) if v not in g)
+    d = markov.joint(dag, cpts).marginal(g.vertices)
     assert d.table.tobytes() == dense_joint(verts, cpts).sum(axis=drop).tobytes()
 
 
@@ -88,10 +91,11 @@ def test_box_latents_multiply_in_place():
     # step brings a latent axis in by broadcast and the latent's own factor
     # then multiplies the full-scope table in place: no second table
     window = Window(0, 2, 0, 8)
-    dag, latent = markov.latent_expansion(build_lattice_graph(BOX, window))
+    g = build_lattice_graph(BOX, window)
+    dag = markov.latent_expansion(g)
     a, b = canonical_probe_pair(BOX, window)
     verts = tuple(sorted(markov.ancestral_closure(dag, (a.label, b.label))))
-    assert len(verts) == 20 and verts[-1] in latent
+    assert len(verts) == 20 and verts[-1] not in g
     cpts = markov.random_cpts(dag, 2)
     tracemalloc.start()
     try:
@@ -149,8 +153,11 @@ def test_fold_matches_dense_on_soundness_margins(soundness_closures, n_vars):
     trial = next(t for t, c in enumerate(closures) if c is not None and len(c) == n_vars)
     verts = tuple(sorted(closures[trial]))
     cpts = markov.random_cpts(dag, trial)
-    got = markov._tensor_joint(verts, cpts)
-    assert got.tobytes() == dense_joint(verts, cpts).tobytes()
+    want = dense_joint(verts, cpts).tobytes()
+    assert markov._tensor_joint(verts, cpts).tobytes() == want
+    # a margin that keeps the whole closure is folded whole, not streamed
+    margin = markov.ancestral_margin(dag, cpts, closures[trial])
+    assert margin.vars == verts and margin.table.tobytes() == want
 
 
 def test_soundness_margin_peak_memory(soundness_closures):
@@ -210,9 +217,9 @@ def test_streamed_marginal_matches_dense_on_random_dags(n, edge_prob, seed, data
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 10), st.floats(0.1, 0.6), st.integers(0, 2 ** 32 - 1), st.data())
 def test_streamed_marginal_matches_dense_on_latent_expansions(n, edge_prob, seed, data):
-    # latents lat(...) sort after their children
+    # latents lat(...) sort before the v... vertices
     g = random_mixed_graph(n, edge_prob, seed)
-    dag, _latent = markov.latent_expansion(g)
+    dag = markov.latent_expansion(g)
     assume(len(dag.vertices) <= 18)
     targets = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), min_size=1))
     axes = data.draw(head_and_group_axes(len(dag.vertices)))
@@ -247,4 +254,39 @@ def test_streamed_marginal_on_soundness_closures(soundness_closures, n_vars):
     finally:
         tracemalloc.stop()
     # the dense joint alone is 16 MB on 21 vertices and 32 MB on 22
+    assert peak < 2 * 2 ** 20
+
+
+def test_each_margin_checks_its_closure_once(monkeypatch):
+    dag = markov.latent_expansion(random_mixed_graph(6, 0.4, 3))
+    cpts = markov.random_cpts(dag, 3)
+    calls = []
+    original = markov.ancestral_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(markov, "ancestral_closure", counting)
+    for margin in (lambda: markov.ancestral_margin(dag, cpts, ("v0", "v1")),
+                   lambda: markov.target_marginal(dag, cpts, ("v0", "v1")),
+                   lambda: markov.joint(dag, cpts)):
+        calls.clear()
+        margin()
+        assert len(calls) == 1
+
+
+def test_box_audit_sums_latents_inside_the_stream():
+    # the probe closure of the 3x9 box has 20 vertices, 12 of them latent:
+    # the audit's margin over its 8 observed vertices is streamed, and the
+    # closure's 8 MB table is never held
+    window = Window(0, 2, 0, 8)
+    cpts = markov.random_cpts(markov.latent_expansion(build_lattice_graph(BOX, window)), 2)
+    tracemalloc.start()
+    try:
+        report = markov.is_locally_causal(BOX, window, cpts, "l3c")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.locally_causal and report.probes[0].regions_checked > 0
     assert peak < 2 * 2 ** 20

@@ -38,21 +38,21 @@ def cpts_of(**tables):
 
 def test_latent_expansion_single_edge():
     g = build_graph({"a", "b"}, [], [("a", "b")])
-    dag, latent = latent_expansion(g)
-    assert latent == {"lat(a,b)"}
+    dag = latent_expansion(g)
+    assert set(dag.vertices) - set(g.vertices) == {"lat(a,b)"}
     assert ("lat(a,b)", "a") in dag.directed and ("lat(a,b)", "b") in dag.directed
     assert not dag.bidirected
 
 
 def test_latent_expansion_identity_on_dags():
     g = build_graph({"a", "b"}, [("a", "b")])
-    dag, latent = latent_expansion(g)
-    assert dag is g and latent == frozenset()
+    dag = latent_expansion(g)
+    assert dag is g and set(dag.vertices) - set(g.vertices) == set()
 
 
 def test_latent_expansion_box_counts(box3):
-    dag, latent = latent_expansion(box3)
-    assert len(latent) == 6
+    dag = latent_expansion(box3)
+    assert len(set(dag.vertices) - set(box3.vertices)) == 6
     assert len(dag.directed) == len(box3.directed) + 12
     assert not dag.bidirected
 
@@ -75,15 +75,16 @@ def test_random_cpts_require_dag(box3):
 def test_joint_single_vertex():
     g = build_graph({"a"})
     d = joint(g, cpts_of(a=((), 0.3)))
-    assert d.prob({"a": 1}) == pytest.approx(0.3)
-    assert d.prob({"a": 0}) == pytest.approx(0.7)
+    assert d.table[1] == pytest.approx(0.3)
+    assert d.table[0] == pytest.approx(0.7)
 
 
 def test_joint_deterministic_edge():
     g = build_graph({"a", "b"}, [("a", "b")])
     d = joint(g, cpts_of(a=((), 0.5), b=(("a",), [0.0, 1.0])))
-    assert d.prob({"a": 1, "b": 1}) == pytest.approx(0.5)
-    assert d.prob({"a": 1, "b": 0}) == 0.0
+    assert d.vars == ("a", "b")
+    assert d.table[1, 1] == pytest.approx(0.5)
+    assert d.table[1, 0] == 0.0
 
 
 def test_joint_strictly_positive_on_chain():
@@ -128,8 +129,8 @@ def test_cpt_parents_must_match_the_graph():
 
 
 def test_joint_marginalizes_latents(box3):
-    dag, latent = latent_expansion(box3)
-    d = joint(dag, random_cpts(dag, 11), latent)
+    dag = latent_expansion(box3)
+    d = joint(dag, random_cpts(dag, 11)).marginal(box3.vertices)
     assert set(d.vars) == set(box3.vertices)
     assert abs(float(d.table.sum()) - 1.0) <= 1e-12
 
@@ -160,6 +161,12 @@ def test_event_ref_validation():
         EventRef(("a",), (2,))
     with pytest.raises(ValueError):
         EventRef(("a", "b"), (1,))
+    # 0/1 only as integers: a bool or float used to reach ci_violation and
+    # fail there with a numpy IndexError
+    for value in (True, False, 1.0, 0.0, np.float64(1.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            EventRef(("a",), (value,))
+    assert EventRef(("a", "b"), (np.int64(1), 0)).values == (1, 0)
 
 
 def test_event_ref_rejects_a_repeated_vertex():
@@ -198,9 +205,10 @@ def test_kernel_built_tables_pass_the_public_checks():
     # margins and marginals skip the validating constructor; each must
     # still be a distribution the public constructor accepts
     g = build_lattice_graph(BOX, Window(0, 2, 0, 3))
-    dag, latent = latent_expansion(g)
-    margin = ancestral_margin(dag, random_cpts(dag, 3), ("b(2,0)", "b(2,3)"), latent)
-    for built in (margin, margin.marginal(margin.vars[1:4])):
+    dag = latent_expansion(g)
+    closure = ancestral_margin(dag, random_cpts(dag, 3), ("b(2,0)", "b(2,3)"))
+    margin = closure.marginal(v for v in closure.vars if v in g)
+    for built in (closure, margin, margin.marginal(margin.vars[1:4])):
         assert isinstance(built.vars, tuple) and built.table.dtype == float
         checked = Distribution(built.vars, built.table)
         assert checked.vars == built.vars and np.array_equal(checked.table, built.table)
@@ -293,7 +301,7 @@ def test_is_locally_causal_small_windows():
     # smallest windows whose canonical probes admit a shielder-off region
     for kind, window in ((DIAMOND, Window(0, 3, 0, 3)), (BOX, Window(0, 2, 0, 8))):
         g = build_lattice_graph(kind, window)
-        dag, _latent = latent_expansion(g)
+        dag = latent_expansion(g)
         rep = is_locally_causal(kind, window, random_cpts(dag, 2), "l3c")
         assert rep.locally_causal
         assert rep.probes[0].regions_checked > 0
@@ -314,7 +322,7 @@ def test_is_locally_causal_small_windows():
                                           (BOX, Window(0, 2, 0, 8))])
 def test_is_locally_causal_checks_the_sweeps_shielder_off_regions(kind, window, variant):
     g = build_lattice_graph(kind, window)
-    dag, _latent = latent_expansion(g)
+    dag = latent_expansion(g)
     rep = is_locally_causal(kind, window, random_cpts(dag, 3), variant)
     cell_a, cell_b = canonical_probe_pair(kind, window)
     sweep = prop1_sweep(kind, window, cell_a, cell_b, variant, lattice_graph=g)

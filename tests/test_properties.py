@@ -139,7 +139,7 @@ def test_m_separation_reduces_to_d_separation_on_dags(gq):
 @given(graph_and_query(max_n=5))
 def test_latent_expansion_preserves_separation(gq):
     g, q = gq
-    dag, _latent = latent_expansion(g)
+    dag = latent_expansion(g)
     assert is_separated(g, q).separated == is_separated(dag, q).separated
 
 

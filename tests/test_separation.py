@@ -104,7 +104,7 @@ def test_networkx_agrees_on_random_mixed_graphs():
     nx = pytest.importorskip("networkx")
     for seed in range(30):
         g = random_mixed_graph(8, 0.3, seed)
-        dag, _latent = latent_expansion(g)
+        dag = latent_expansion(g)
         ndag = nx.DiGraph(dag.directed)
         ndag.add_nodes_from(dag.vertices)
         for a, b in combinations(g.vertices, 2):
