@@ -4,6 +4,11 @@ Builds causal graphs from partitions of 1+1 Minkowski spacetime, decides
 d-/m-separation, tests geometric shielder-off conditions, and verifies the
 shielding <-> separation correspondence both graph-theoretically and with
 exact Bayesian-network semantics.
+
+Importing seplat loads the graph side only (graph, lattice, separation), so
+the graph commands of the CLI never import numpy. The Markov names below
+(``CptSet`` ... ``target_marginal``) load seplat.markov, and numpy with it,
+on first access.
 """
 
 from . import errors
@@ -45,20 +50,6 @@ from .lattice import (
     shielding_sweep,
     spouses,
 )
-from .markov import (
-    CptSet,
-    Distribution,
-    EventRef,
-    ancestral_margin,
-    check_cmc,
-    ci_violation,
-    find_dependence_witness,
-    is_locally_causal,
-    joint,
-    latent_expansion,
-    random_cpts,
-    target_marginal,
-)
 from .separation import (
     SeparationQuery,
     SeparationVerdict,
@@ -69,3 +60,28 @@ from .separation import (
 )
 
 __version__ = "0.1.0"
+
+# seplat.markov's names, served by __getattr__ (see the module docstring)
+_MARKOV_NAMES = frozenset({
+    "CptSet",
+    "Distribution",
+    "EventRef",
+    "ancestral_margin",
+    "check_cmc",
+    "ci_violation",
+    "find_dependence_witness",
+    "is_locally_causal",
+    "joint",
+    "latent_expansion",
+    "random_cpts",
+    "target_marginal",
+})
+
+
+def __getattr__(name: str):
+    """Resolve a Markov name (PEP 562) by importing seplat.markov."""
+    if name not in _MARKOV_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import markov
+
+    return getattr(markov, name)

@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from functools import cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import lattice as lat
-from . import markov as mk
 from .errors import BudgetExceeded, SeparatedInput, SeplatError
 from .graph import (
     MixedGraph,
@@ -30,6 +28,9 @@ from .separation import (
     is_separated_oracle,
     minimal_separator,
 )
+
+if TYPE_CHECKING:  # seplat.markov, and numpy, load in the mc handlers only
+    from .markov import ScreeningCheck
 
 CSV_HEADER = ["candidate_set", "l1", "l2", "l3", "shielder_off", "separated", "witness"]
 MC_CSV_HEADER = ["query", "atoms_checked", "max_violation", "verdict"]
@@ -58,7 +59,7 @@ def mc_query(a: str, b: str, cond: Sequence[str]) -> str:
     return f"{a}_|_{b}|{'+'.join(cond)}"
 
 
-def mc_csv_row(c: mk.ScreeningCheck) -> list:
+def mc_csv_row(c: ScreeningCheck) -> list:
     """One CI-checked MC report line, in MC_CSV_HEADER order."""
     return [mc_query(*c.pair, c.region), c.atoms, f"{c.violation:.3e}",
             "ci" if c.passed else "violation"]
@@ -192,9 +193,16 @@ def _cmd_prop1_verify(args) -> int:
 
 
 def _cmd_mc_soundness(args) -> int:
+    import random
+
+    from . import markov as mk
+
     g, _kind, _window = _load_graph(args.graph)
-    dag = mk.latent_expansion(g)
     observed = sorted(g.vertices)
+    if len(observed) < 2:
+        raise ValueError("mc soundness needs a graph with at least two vertices, "
+                         f"got {len(observed)}")
+    dag = mk.latent_expansion(g)
     checks = []
     rows = []
     for trial in range(args.trials):
@@ -232,6 +240,8 @@ def _cmd_mc_soundness(args) -> int:
 
 
 def _cmd_mc_witness(args) -> int:
+    from . import markov as mk
+
     g, _kind, _window = _load_graph(args.graph)
     cond = _parse_label_set(args.c)
     cpts = mk.find_dependence_witness(g, args.a, args.b, cond,
@@ -251,6 +261,8 @@ def _cmd_mc_witness(args) -> int:
 
 
 def _cmd_mc_local_causality(args) -> int:
+    from . import markov as mk
+
     g, kind, window = _load_graph(args.graph)
     window = _require_lattice(kind, window)
     cpts = mk.random_cpts(mk.latent_expansion(g), args.seed)
@@ -358,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     soundness.add_argument("--seed", type=_non_negative_int, default=0)
     soundness.add_argument("--tol", type=_tolerance, default=1e-9)
     soundness.add_argument("--max-cond", type=_non_negative_int, default=3)
-    soundness.add_argument("--budget", type=_non_negative_int, default=mk.DEFAULT_JOINT_BUDGET)
+    soundness.add_argument("--budget", type=_non_negative_int, default=lat.DEFAULT_JOINT_BUDGET)
     soundness.add_argument("--report")
     soundness.set_defaults(func=_cmd_mc_soundness)
     witness = mc.add_parser("witness")

@@ -62,6 +62,9 @@ L3C = "l3c"
 L3Q = "l3q"
 
 DEFAULT_ENUM_BUDGET = 1_000_000
+# Most variables in an exact joint's ancestral closure; seplat.markov's
+# default, kept here so the CLI parser can read it without loading numpy.
+DEFAULT_JOINT_BUDGET = 22
 
 _LABEL_RE = re.compile(r"^([db])\((-?\d+),(-?\d+)\)$")
 _PREFIX = {DIAMOND: "d", BOX: "b"}

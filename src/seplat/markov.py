@@ -24,9 +24,8 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import ANCESTORS_INCLUSIVE, BIDIR, DESCENDANTS, MixedGraph, relatives
+from .lattice import DEFAULT_JOINT_BUDGET
 from .separation import SeparationQuery, is_separated
-
-DEFAULT_JOINT_BUDGET = 22
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,17 @@ def test_mc_soundness(tmp_path, capsys):
     assert any(";ci" in ln for ln in lines[1:])
 
 
+@pytest.mark.parametrize("vertices", [[], ["a"]])
+def test_mc_soundness_needs_two_vertices(tmp_path, capsys, vertices):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "abstract", "vertices": vertices,
+                                "directed": [], "bidirected": []}))
+    for trials in ("0", "3"):
+        assert main(["mc", "soundness", "--graph", str(path), "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert f"at least two vertices, got {len(vertices)}" in err, err
+
+
 def test_mc_soundness_pinned(diamond_file, tmp_path, capsys):
     report = tmp_path / "mc.csv"
     assert main(["mc", "soundness", "--graph", str(diamond_file), "--trials", "40",
