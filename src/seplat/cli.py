@@ -69,6 +69,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _write_out(out: str | None, text: str) -> None:
+    """Write the text to the --out file if one is given, else to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def graph_document_text(g: MixedGraph, kind: str = "abstract",
                         window: dict | None = None) -> str:
     return json.dumps(graph_to_json_dict(g, kind, window),
@@ -122,12 +131,8 @@ def _cmd_lattice_gen(args) -> int:
     given = {k: v for k in _BOUND_NAMES if (v := getattr(args, k)) is not None}
     window = lat.window_from_dict(args.kind, given)
     g = lat.build_graph(args.kind, window)
-    text = graph_document_text(g, args.kind, lat.window_to_dict(args.kind, window))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, graph_document_text(g, args.kind,
+                                             lat.window_to_dict(args.kind, window)))
     _emit({"vertices": len(g.vertices), "directed": len(g.directed),
            "bidirected": len(g.bidirected), "out": args.out})
     return 0
@@ -140,7 +145,8 @@ def _cmd_sep_check(args) -> int:
     payload = {"separated": verdict.separated,
                "witness": format_path(verdict.witness) if verdict.witness else None}
     if args.format == "csv":
-        print(f"{args.a};{args.b};{verdict.separated};{payload['witness'] or '-'}")
+        csv.writer(sys.stdout, delimiter=";", lineterminator="\n").writerow(
+            [args.a, args.b, verdict.separated, payload["witness"] or "-"])
     else:
         _emit(payload)
     return 0 if verdict.separated else 1
@@ -285,12 +291,7 @@ def _cmd_mc_local_causality(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g, _kind, _window = _load_graph(args.graph)
-    text = dot_text(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, dot_text(g))
     _emit({"directed": len(g.directed), "bidirected": len(g.bidirected), "out": args.out})
     return 0
 
@@ -422,7 +423,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

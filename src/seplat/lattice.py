@@ -494,10 +494,10 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
                 lattice_graph: MixedGraph | None = None) -> Prop1Report:
     """Full candidate sweep joining geometric verdicts with separation.
 
-    A counterexample row is shielder-off yet connected.  On lattice graphs
-    with no spouse edges (diamond partitions) the sweep is the machine check
-    that none exists; box partitions can have counterexamples, each m-connected
-    through a conditioned region cell that is a collider on a spouse edge.
+    A counterexample row is shielder-off yet connected.  The canonical 6x6
+    diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
+    through a conditioned parent of a; the 6x9 box has three, m-connected
+    through a region cell that is a collider on a spouse edge.
     """
     g = lattice_graph if lattice_graph is not None else build_graph(kind, window)
     a, b = cell_a.label, cell_b.label

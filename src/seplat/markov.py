@@ -445,9 +445,12 @@ def ancestral_closure(dag: MixedGraph, targets: Iterable[str],
 
 def _checked_closure(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
                      budget: int) -> tuple[str, ...]:
-    """The sorted ancestral closure of the targets (BudgetExceeded above
-    budget vertices), each vertex with a CPT (UnknownVertex) that lists
-    exactly its parents in the graph (ValueError)."""
+    """The sorted ancestral closure of the targets in a DAG (ValueError on
+    bidirected edges; BudgetExceeded above budget vertices), each vertex
+    with a CPT (UnknownVertex) that lists exactly its parents in the graph
+    (ValueError).  Every exact margin passes this one gate."""
+    if dag.bidirected:
+        raise ValueError("exact margins need a DAG; expand bidirected edges first")
     verts = tuple(sorted(ancestral_closure(dag, targets, budget)))
     missing = [v for v in verts if v not in cpts.tables]
     if missing:
@@ -482,8 +485,6 @@ def _closure_marginal(verts: tuple[str, ...], cpts: CptSet,
 def joint(dag: MixedGraph, cpts: CptSet) -> Distribution:
     """Exact joint of a CPT-parameterized DAG, one axis per vertex.  Sum the
     latents of an expansion out with .marginal(observed vertices)."""
-    if dag.bidirected:
-        raise ValueError("joint needs a DAG; expand bidirected edges first")
     return ancestral_margin(dag, cpts, dag.vertices)
 
 

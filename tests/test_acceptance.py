@@ -38,6 +38,7 @@ from seplat.graph import (
     DIR_BACKWARD,
     DIR_FORWARD,
     build_graph,
+    format_path,
     graph_from_json_dict,
     relatives,
 )
@@ -46,7 +47,9 @@ from seplat.lattice import (
     DIAMOND,
     L3C,
     L3Q,
+    Cell,
     Region,
+    is_boundary_cell,
     l1_past,
     parse_cell,
     prop1_sweep,
@@ -395,3 +398,61 @@ def test_criterion_12_round_trips(diamond3, box3):
     _report(12, ok, f"JSON round-trip byte-stable; DOT edge counts {counts}")
     assert counts == (16, 0, 14, 6)
     assert ok
+
+
+# Off the canonical probes, shielding does not give d-separation on the
+# diamond DAG.  With probes d(2,5)/d(5,2) two five-cell regions pass L1, L2
+# and either L3 variant, yet one witness connects both: it enters d(2,4), a
+# parent of a in the region, from both sides, so conditioning on it opens
+# the path.
+OFF_CANONICAL_COUNTEREXAMPLES = {
+    ("d(0,3)", "d(0,4)", "d(0,5)", "d(1,3)", "d(2,4)"),
+    ("d(0,3)", "d(0,4)", "d(1,3)", "d(1,5)", "d(2,4)"),
+}
+OFF_CANONICAL_WITNESS = "d(2,5)<-d(1,4)->d(2,4)<-d(2,3)<-d(2,2)->d(3,2)->d(4,2)->d(5,2)"
+# L2 walks back from a without crossing the region; separation from an
+# environment root E, a parent of every boundary cell, is not the same here:
+# these L2 regions leave a d-connected to E through a conditioned collider.
+L2_BUT_CONNECTED_TO_E = OFF_CANONICAL_COUNTEREXAMPLES | {
+    ("d(0,3)", "d(0,4)", "d(1,3)", "d(1,5)", "d(2,3)"),
+}
+
+
+def test_criterion_13_diamond_shielding_off_canonical_probes(diamond6):
+    nx = pytest.importorskip("networkx")
+    cell_a, cell_b = Cell(DIAMOND, 2, 5), Cell(DIAMOND, 5, 2)
+    a, b = cell_a.label, cell_b.label
+    dag = nx.DiGraph()
+    dag.add_nodes_from(diamond6.vertices)
+    dag.add_edges_from(diamond6.directed)
+    boundary = [c.label for c in DIAMOND_WINDOW.cells(DIAMOND)
+                if is_boundary_cell(c, DIAMOND_WINDOW)]
+    with_env = build_graph(diamond6.vertices + ("E",),
+                           diamond6.directed + tuple(("E", v) for v in boundary))
+    found = {}
+    for variant in (L3C, L3Q):
+        rep = prop1_sweep(DIAMOND, DIAMOND_WINDOW, cell_a, cell_b, variant,
+                          max_cells=5, lattice_graph=diamond6)
+        shielded = [r for r in rep.rows if r.shielder_off]
+        # the exhaustive-path oracle and networkx agree with every verdict
+        disagree = [r.region for r in shielded
+                    if is_separated_oracle(diamond6, SeparationQuery(
+                        a, b, frozenset(r.region))).separated != r.separated
+                    or nx.is_d_separator(dag, {a}, {b}, set(r.region)) != r.separated]
+        witnesses = {format_path(r.witness) for r in rep.counterexamples}
+        found[variant] = (rep.total, len(shielded), len(rep.counterexamples))
+        env_separated = {r.region: is_separated(with_env, SeparationQuery(
+            a, "E", frozenset(r.region))).separated for r in rep.rows if r.l1}
+        assert {r.region for r in rep.counterexamples} == OFF_CANONICAL_COUNTEREXAMPLES
+        assert witnesses == {OFF_CANONICAL_WITNESS}
+        assert not disagree
+        assert {r.region for r in rep.rows if r.l1 and r.l2 != env_separated[r.region]
+                } == L2_BUT_CONNECTED_TO_E
+        # with separation from E in place of L2 no shielded region is connected
+        assert all(r.separated for r in rep.rows
+                   if r.l1 and r.l3 and env_separated[r.region])
+    _report(13, found == {L3C: (9401, 138, 2), L3Q: (9401, 29, 2)},
+            f"diamond probes {a}/{b}, <= 5 cells: (candidates, shielder-off, "
+            f"d-connected) {found}, witness {OFF_CANONICAL_WITNESS}")
+    assert found == {L3C: (9401, 138, 2), L3Q: (9401, 29, 2)}
+    assert "d(2,4)" in diamond6.parents_of(a)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,9 +14,9 @@ from seplat.cli import main
 A, B = "d(1,4)", "d(4,1)"
 ROOT = Path(__file__).resolve().parents[1]
 
-# SHA-256 of the canonical sweep reports written by scripts/prop1_sweeps.py
-# (box sweep with --box-max-cells 2); the diamond reports are also what
-# `seplat prop1 verify --max-cells 9` writes for the canonical probes.
+# SHA-256 of the canonical sweep reports written by `seplat prop1 verify
+# --report` for the canonical probes: the 6x6 diamond under both L3 variants
+# with --max-cells 9, and the 6x9 box under L3C with --max-cells 2.
 CANONICAL_CSV_SHA256 = {
     "diamond_l3c": "9e97ee7166dd8939b4b419fd16d1ec93033b2ebd98c4030b251b261abe6ffe04",
     "diamond_l3q": "0a8bbef5c06de195e4ccbc8b5ea147b8dedd3cc23f2d07ed59714c9c3d69d630",
@@ -58,6 +60,16 @@ def test_lattice_gen_counts(diamond_file, capsys):
     assert doc["kind"] == "diamond"
     assert len(doc["vertices"]) == 36
     assert doc["window"] == {"imin": 0, "imax": 5, "jmin": 0, "jmax": 5}
+
+
+def test_lattice_gen_to_stdout(diamond_file, capsys):
+    capsys.readouterr()
+    assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "5",
+                 "--jmin", "0", "--jmax", "5"]) == 0
+    *document, summary = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(document) == diamond_file.read_text()
+    assert json.loads(summary) == {"vertices": 36, "directed": 85, "bidirected": 0,
+                                   "out": None}
 
 
 def test_lattice_gen_box_counts(tmp_path, capsys):
@@ -127,6 +139,19 @@ def test_sep_check_csv_format_and_strict(diamond_file, capsys):
     code = main(["sep", "check", "--graph", str(diamond_file), "--a", A, "--b", B,
                  "--c", "d(0,0)+d(0,1)+d(1,0)", "--convention", "strict"])
     assert code == 2
+
+
+@pytest.mark.parametrize("label", ["a;1", 'a"1'])
+def test_sep_check_csv_quotes_labels(tmp_path, capsys, label):
+    from seplat.cli import graph_document_text
+    from seplat.graph import build_graph
+
+    path = tmp_path / "g.json"
+    path.write_text(graph_document_text(build_graph([label, "b"])))
+    assert main(["sep", "check", "--graph", str(path), "--a", label, "--b", "b",
+                 "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out), delimiter=";"))
+    assert rows == [[label, "b", "True", "-"]]
 
 
 def test_sep_minimal(diamond_file, capsys):
@@ -226,17 +251,17 @@ def test_prop1_verify(diamond_file, tmp_path, capsys):
 
 
 def test_canonical_sweep_reports_pinned(diamond_file, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "prop1_sweeps.py"),
-                    "--box-max-cells", "2", "--out-dir", str(tmp_path)],
-                   env=env, check=True, capture_output=True, timeout=120)
-    for name, digest in CANONICAL_CSV_SHA256.items():
-        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
-    for name, variant in (("diamond_l3c", "l3c"), ("diamond_l3q", "l3q")):
-        report = tmp_path / f"cli_{name}.csv"
-        assert main(["prop1", "verify", "--graph", str(diamond_file), "--a", A, "--b", B,
-                     "--variant", variant, "--max-cells", "9", "--report", str(report)]) == 0
+    box_file = tmp_path / "box.json"
+    assert main(["lattice", "gen", "--kind", "box", "--kmin", "0", "--kmax", "5",
+                 "--mmin", "0", "--mmax", "8", "--out", str(box_file)]) == 0
+    sweeps = {"diamond_l3c": (diamond_file, A, B, "l3c", "9"),
+              "diamond_l3q": (diamond_file, A, B, "l3q", "9"),
+              "box_l3c": (box_file, "b(4,2)", "b(4,6)", "l3c", "2")}
+    for name, (graph, a, b, variant, max_cells) in sweeps.items():
+        report = tmp_path / f"{name}.csv"
+        assert main(["prop1", "verify", "--graph", str(graph), "--a", a, "--b", b,
+                     "--variant", variant, "--max-cells", max_cells,
+                     "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_CSV_SHA256[name]
 
 
@@ -436,6 +461,8 @@ def test_malformed_graph_documents_exit_2(tmp_path, diamond_file):
         "bool_bound": dict(diamond, window=dict(diamond["window"], imin=False)),
         "string_bound": dict(diamond, window=dict(diamond["window"], jmax="5")),
         "stray_box_bound": dict(diamond, window=dict(diamond["window"], kmin=7)),
+        "unknown_kind": dict(diamond, kind="hexagon"),
+        "no_vertices": {"directed": [], "bidirected": []},
     }
     for name, doc in bad_docs.items():
         path = tmp_path / f"{name}.json"

@@ -45,6 +45,12 @@ def test_build_rejects_bad_edges():
         build_graph({"a", "b"}, [], [("a", "b"), ("b", "a")])
     with pytest.raises(UnknownVertex):
         build_graph({"a"}, [("a", "zz")])
+    with pytest.raises(UnknownVertex):
+        build_graph({"a", ""})
+    with pytest.raises(UnknownVertex):
+        build_graph({"a"}, [], [("a", "zz")])
+    with pytest.raises(SelfLoop):
+        build_graph({"a"}, [], [("a", "a")])
 
 
 def test_relatives_chain_and_collider():
@@ -57,6 +63,8 @@ def test_relatives_chain_and_collider():
     assert relatives(collider, {"a"}, COLLATERALS) == {"b"}
     with pytest.raises(UnknownVertex):
         relatives(chain, {"zz"}, ANCESTORS)
+    with pytest.raises(ValueError, match="unknown relation kind"):
+        relatives(chain, {"c"}, "cousins")
 
 
 def test_diamond_ancestors_match_geometric_formula():
@@ -98,6 +106,8 @@ def test_simple_paths_collider_and_triangle():
     triangle = build_graph({"a", "b", "c"}, [("a", "b"), ("a", "c"), ("b", "c")])
     got = {p.vertices for p in simple_paths(triangle, "a", "c", 3)}
     assert got == {("a", "c"), ("a", "b", "c")}
+    with pytest.raises(ValueError, match="endpoints must differ"):
+        list(simple_paths(triangle, "a", "a", 3))
 
 
 def _count_paths_brute(adjacency, a, b, max_len):

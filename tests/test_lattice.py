@@ -70,6 +70,8 @@ def test_causal_relation_diamond():
     assert causal_relation(d(1, 1), d(0, 1)) == FUTURE_OF_B
     with pytest.raises(KindMismatch):
         causal_relation(d(0, 0), b(0, 0))
+    with pytest.raises(ValueError, match="distinct cells"):
+        causal_relation(d(1, 1), d(1, 1))
 
 
 def test_causal_relation_box():
@@ -123,6 +125,8 @@ def test_build_graph_counts(diamond3, box3):
             len(box3.bidirected)) == (9, 14, 6)
     g1 = build_graph(DIAMOND, Window(0, 0, 0, 0))
     assert (len(g1.vertices), len(g1.directed), len(g1.bidirected)) == (1, 0, 0)
+    with pytest.raises(ValueError, match="unknown lattice kind"):
+        build_graph("hexagon", Window(0, 0, 0, 0))
 
 
 def test_geo_ancestors_diamond():
@@ -505,11 +509,21 @@ def test_region_literals_and_vertexsets(diamond6, box3):
         region_to_vertexset(parse_region("d(9,9)"), diamond6)
     with pytest.raises(KindMismatch):
         parse_region("d(0,0)+b(0,0)")
+    for literal in ("", "+"):
+        with pytest.raises(UnknownCell, match="empty region literal"):
+            parse_region(literal)
+    with pytest.raises(ValueError, match="nonempty"):
+        Region(DIAMOND, frozenset())
+    with pytest.raises(KindMismatch):
+        Region(DIAMOND, frozenset({d(0, 0), b(0, 1)}))
 
 
 def test_canonical_probe_pairs():
     assert canonical_probe_pair(DIAMOND, DIAMOND_WINDOW) == (d(1, 4), d(4, 1))
     assert canonical_probe_pair(BOX, BOX_WINDOW) == (b(4, 2), b(4, 6))
+    for kind, window in ((DIAMOND, Window(0, 0, 0, 0)), (BOX, Window(0, 3, 0, 1))):
+        with pytest.raises(ValueError, match="too small"):
+            canonical_probe_pair(kind, window)
 
 
 def test_prop1_sweep_diamond_report(diamond6):

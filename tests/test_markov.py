@@ -25,6 +25,7 @@ from seplat.markov import (
     joint,
     latent_expansion,
     random_cpts,
+    target_marginal,
 )
 from seplat.separation import SeparationQuery, is_separated
 
@@ -42,6 +43,11 @@ def test_latent_expansion_single_edge():
     assert set(dag.vertices) - set(g.vertices) == {"lat(a,b)"}
     assert ("lat(a,b)", "a") in dag.directed and ("lat(a,b)", "b") in dag.directed
     assert not dag.bidirected
+    # a vertex already named lat(a,b) pushes the latent to a fresh label
+    taken = build_graph({"a", "b", "lat(a,b)"}, [], [("a", "b")])
+    dag = latent_expansion(taken)
+    assert set(dag.vertices) - set(taken.vertices) == {"lat(a,b)'"}
+    assert ("lat(a,b)'", "a") in dag.directed and ("lat(a,b)", "a") not in dag.directed
 
 
 def test_latent_expansion_identity_on_dags():
@@ -118,6 +124,17 @@ def test_missing_cpt_raises_unknown_vertex():
         ancestral_margin(g, cpts, ("b",))
 
 
+def test_exact_margins_need_a_dag():
+    # on a <-> b the product of the root CPTs would hide the latent dependence
+    g = build_graph({"a", "b"}, [], [("a", "b")])
+    cpts = cpts_of(a=((), 0.3), b=((), 0.6))
+    for margin in (lambda: joint(g, cpts),
+                   lambda: ancestral_margin(g, cpts, ("a", "b")),
+                   lambda: target_marginal(g, cpts, ("a", "b"))):
+        with pytest.raises(ValueError, match="expand bidirected edges first"):
+            margin()
+
+
 def test_cpt_parents_must_match_the_graph():
     # c is isolated in the graph, but its CPT conditions on b
     g = build_graph({"a", "b", "c"}, [("a", "b")])
@@ -181,6 +198,10 @@ def test_distribution_validation():
             Distribution(("a",), np.array(table))
     with pytest.raises(ValueError):
         Distribution(("a", "a"), np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="shape"):
+        Distribution(("a", "b"), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="negative"):
+        Distribution(("a",), np.array([-0.5, 1.5]))
     with pytest.raises(UnknownVertex):
         Distribution(("a",), np.array([0.5, 0.5])).marginal(("zz",))
 
@@ -241,6 +262,14 @@ def test_check_cmc_single_vertex():
     g = build_graph({"a"})
     rep = check_cmc(joint(g, cpts_of(a=((), 0.4))), g)
     assert rep.ok and rep.checked == 0
+
+
+def test_check_cmc_validation():
+    d = Distribution(("a", "b"), np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="needs a DAG"):
+        check_cmc(d, build_graph({"a", "b"}, [], [("a", "b")]))
+    with pytest.raises(UnknownVertex, match="'c'"):
+        check_cmc(d, build_graph({"a", "b", "c"}, [("a", "b")]))
 
 
 def test_ancestral_margin_matches_full_joint(diamond3):
@@ -355,3 +384,5 @@ def test_vertex_cpt_validation():
     for parents in (("b", "a"), ("a", "a")):
         with pytest.raises(ValueError):
             VertexCpt(parents, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="shape"):
+        VertexCpt(("a",), np.full((2, 2), 0.5))

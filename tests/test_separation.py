@@ -49,6 +49,12 @@ def test_path_is_connecting_validates():
     with pytest.raises(InvalidPath):
         p = Path(("a", "c", "b"), ("dir-forward", "dir-backward"))
         path_is_connecting(g, p, {"a"})
+    # malformed paths fail at construction
+    for verts, edges in ((("a",), ()), (("a", "b"), ()),
+                         (("a", "c", "a"), ("dir-forward", "dir-backward")),
+                         (("a", "c"), ("sideways",))):
+        with pytest.raises(InvalidPath):
+            Path(verts, edges)
 
 
 def test_descendant_of_collider_opens():
@@ -169,6 +175,8 @@ def test_minimal_separator_rejects_adjacent():
     g = build_graph({"a", "b", "c"}, [], [("a", "b")])
     with pytest.raises(AdjacentVertices):
         minimal_separator(g, "a", "b")
+    with pytest.raises(ValueError, match="endpoints must differ"):
+        minimal_separator(g, "c", "c")
 
 
 def test_minimal_separator_fixture(diamond6, box69):
