@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
-from .graph import MixedGraph
+from .graph import MixedGraph, flood
 from .separation import SeparationQuery, is_separated
 
 DIAMOND = "diamond"
@@ -308,20 +308,10 @@ def _pool_index(cell_a: Cell, window: Window
 
 
 def _shields(blocked: int, parent_masks: tuple[int, ...], boundary: int) -> bool:
-    """Frontier flood fill from bit 0 through parent masks, never entering
-    the blocked bits: True iff it reaches no boundary cell."""
-    seen = frontier = 1
-    while frontier:
-        if frontier & boundary:
-            return False
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= parent_masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & ~(blocked | seen)
-        seen |= frontier
-    return True
+    """graph.flood from bit 0 through parent masks, never entering the
+    blocked bits: True iff it reaches no boundary cell.  The same fill
+    decides separation by a vertex cut in is_separated."""
+    return not flood(1, parent_masks, blocked, boundary) & boundary
 
 
 def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:

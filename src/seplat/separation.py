@@ -1,26 +1,44 @@
 """d-separation and m-separation queries on mixed acyclic graphs.
 
-Two independent decision routes are provided:
+Two decision routes share no code:
 
-* is_separated_oracle -- exhaustively tests every simple path against the
-  blocking criterion (a non-collider in the conditioning set blocks; a
-  collider blocks unless it is in the conditioning set's inclusive ancestor
-  closure, i.e. it or one of its descendants is conditioned on).
-* is_separated -- breadth-first reachability over integer states
-  2*v + head (vertex index, arrowhead on entry) on the graph's integer
-  core, the fast route used by sweeps (the reachability view of Bayes-Ball,
-  Shachter 1998; Geiger, Verma & Pearl 1990).  The conditioning set becomes
-  a vertex mask and the open colliders the OR of its ancestor masks.
+* is_separated_oracle -- the ground truth.  It tests every simple path
+  against the blocking criterion (a non-collider in the conditioning set
+  blocks; a collider blocks unless it is in the conditioning set's
+  inclusive ancestor closure, i.e. it or one of its descendants is
+  conditioned on).
+* is_separated -- the fast route.  A vertex cut decides every query whose
+  conditioning set lies within An({a, b}), the inclusive ancestors of the
+  endpoints.  A breadth-first search builds the witness of a connected
+  query, and decides the queries the cut does not cover.
 
-The routes agree because a shortest active walk repeats no vertex.  Cut
-the loop between two visits of v: the shorter walk stays active.  A
-conditioned v passed twice as a collider and still is one; an ancestor of
-cond passes in any role.  Otherwise both visits were non-colliders, and v
-blocks only if the walk entered it through an arrowhead and left through
-one.  Then the loop leaves v along v -> x and returns along v -> y, so it
-holds a collider below v; that collider is open, so v is an ancestor of
-cond.  The FIFO of is_separated reaches b first along a shortest active
-walk, so its witness is a simple path.
+The cut.  Z m-separates a and b iff Z separates them in the augmented
+graph of An({a, b} | Z) (Richardson 2003; on DAGs the moral graph of
+Lauritzen et al. 1990).  It is the undirected graph on that ancestral set
+in which two vertices are adjacent iff a collider path joins them, that
+is iff both lie in one district (bidirected component) or among its
+parents.  One half in brief: every vertex of an active path is an
+ancestor of an endpoint or of Z, and the endpoints and non-colliders of
+the path, none of them in Z, follow one another through runs of
+colliders, which are augmented edges.  Ancestry is transitive, so for Z
+within An({a, b}), An({a, b} | Z) = An({a, b}): every such Z is tested on
+one fixed graph (graph.augmented_masks), by a flood fill from a that never
+enters Z (graph.flood).  Undirected separation is monotone: adding
+vertices of An({a, b}) to a separating Z keeps it separating.
+
+The search.  Breadth-first reachability over integer states 2*v + head
+(vertex index, arrowhead on entry) on the graph's integer core (the
+reachability view of Bayes-Ball, Shachter 1998; Geiger, Verma & Pearl
+1990).  The conditioning set becomes a vertex mask and the open colliders
+the OR of its ancestor masks.  It agrees with the oracle because a shortest
+active walk repeats no vertex.  Cut the loop between two visits of v: the
+shorter walk stays active.  A conditioned v passed twice as a collider and
+still is one; an ancestor of cond passes in any role.  Otherwise both
+visits were non-colliders, and v blocks only if the walk entered it
+through an arrowhead and left through one.  Then the loop leaves v along
+v -> x and returns along v -> y, so it holds a collider below v; that
+collider is open, so v is an ancestor of cond.  The FIFO reaches b first
+along a shortest active walk, so its witness is a simple path.
 
 A collider is an interior path vertex receiving arrowheads from both
 neighbors; bidirected edge ends count as arrowheads.
@@ -39,6 +57,8 @@ from .graph import (
     DIR_FORWARD,
     MixedGraph,
     Path,
+    augmented_masks,
+    flood,
     relatives,
 )
 
@@ -157,28 +177,52 @@ def is_separated_oracle(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
 
 
 def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
-    """Decide separation by breadth-first reachability over int states.
+    """Decide separation by a vertex cut; search only to build witnesses.
+
+    When cond lies within An({a, b}), a is separated from b iff the flood
+    fill from a over the augmented graph of An({a, b}), never entering cond,
+    misses b (module docstring).  A connected query, and any query with a
+    conditioned vertex outside An({a, b}), goes to the breadth-first search,
+    whose first active walk to b is the witness.  Agrees with
+    is_separated_oracle on every input; the witness is deterministic.
+    """
+    index, anc = g.index, g.ancestor_masks
+    try:
+        a, b = index[q.a], index[q.b]
+        cond_mask = 0
+        for v in q.cond:
+            cond_mask |= 1 << index[v]
+    except KeyError as exc:
+        raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
+    keep = anc[a] | anc[b]
+    by_cut = not cond_mask & ~keep
+    if by_cut and not flood(1 << a, augmented_masks(g, keep), cond_mask, 1 << b) >> b & 1:
+        return SeparationVerdict(True, None)
+    witness = _search(g, q, a, b, cond_mask)
+    if witness is None and by_cut:
+        raise RuntimeError("internal invariant violation: the vertex cut "
+                           "connects a and b but no active walk does")
+    return SeparationVerdict(witness is None, witness)
+
+
+def _search(g: MixedGraph, q: SeparationQuery, a: int, b: int,
+            cond_mask: int) -> Path | None:
+    """Breadth-first reachability over int states: the first active walk
+    from a to b as a Path, or None when there is none.
 
     State 2*v + head records vertex index v and whether the walk entered it
     through an arrowhead.  The FIFO starts from the state of a entered
     through a tail, from which every move is allowed.  Passage through v is
     allowed when v acts as a non-collider outside cond, or as a collider in
     the open-collider mask (the OR of the inclusive ancestor masks of cond).
-    Moves are tried in incident() order, so the first witness walk found is
-    deterministic, and it is the witness: a shortest active walk repeats no
-    vertex (module docstring).  Runs in O(|V| + |E|) per query and agrees
-    with is_separated_oracle on every input.
+    Moves are tried in incident() order, so the walk found is deterministic,
+    and it is simple: a shortest active walk repeats no vertex (module
+    docstring).  Runs in O(|V| + |E|).
     """
     index, adjacency, anc = g.index, g.adjacency, g.ancestor_masks
-    try:
-        a, b = index[q.a], index[q.b]
-        cond_mask = open_mask = 0
-        for v in q.cond:
-            i = index[v]
-            cond_mask |= 1 << i
-            open_mask |= anc[i]
-    except KeyError as exc:
-        raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
+    open_mask = 0
+    for v in q.cond:
+        open_mask |= anc[index[v]]
 
     # prev[state] = (previous state, edge kind); the start state 2*a enters a
     # through a tail, so every move out of a is allowed, and it is never
@@ -215,7 +259,7 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
         if goal >= 0:
             break
     if goal < 0:
-        return SeparationVerdict(True, None)
+        return None
 
     labels = g.vertices
     verts: list[str] = []
@@ -234,7 +278,7 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     if len(set(verts)) < len(verts) or not _connecting(verts, kinds, q.cond, open_on_path):
         raise RuntimeError("internal invariant violation: witness walk is not "
                            "a connecting simple path")
-    return SeparationVerdict(False, Path(tuple(verts), tuple(kinds)))
+    return Path(tuple(verts), tuple(kinds))
 
 
 def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str]) -> bool:
@@ -249,13 +293,11 @@ def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     separation: |S0| + 1 separation calls.  None is returned if S0 itself
     fails to separate.
 
-    One pass is inclusion-minimal (Tian, Paz & Pearl 1998).  For every
-    Z within An({a, b}), An({a, b} | Z) = An({a, b}), so Z m-separates a
-    and b exactly when it separates them in one fixed undirected graph,
-    the augmented graph of An({a, b}) (Richardson 2003).  Undirected
-    separation is monotone under adding vertices to Z.  Each survivor
-    failed to be removed from a superset of the result, so removing it
-    from the result fails too.
+    One pass is inclusion-minimal (Tian, Paz & Pearl 1998).  Every set it
+    tests lies within An({a, b}), where separation is a vertex cut of one
+    fixed graph and so monotone in the set (module docstring).  Each
+    survivor failed to be removed from a superset of the result, so
+    removing it from the result fails too.
     """
     g.require((a, b))
     if a == b:

@@ -5,12 +5,15 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from seplat import separation
 from seplat.graph import (
     ANCESTORS,
     ANCESTORS_INCLUSIVE,
     DESCENDANTS,
     PARENTS,
+    augmented_masks,
     build_graph,
+    flood,
     relatives,
     simple_paths,
     topological_order,
@@ -18,6 +21,7 @@ from seplat.graph import (
 from seplat.markov import latent_expansion
 from seplat.separation import (
     SeparationQuery,
+    SeparationVerdict,
     is_separated,
     is_separated_oracle,
     minimal_separator,
@@ -99,6 +103,48 @@ def test_simple_paths_are_simple(g):
         for p in simple_paths(g, a, b, len(verts) - 1):
             assert p.vertices[0] == a and p.vertices[-1] == b
             assert len(set(p.vertices)) == len(p.vertices)
+
+
+@st.composite
+def graph_and_ancestral_query(draw, max_n=7):
+    """A query whose conditioning set lies within An({a, b}), so that
+    is_separated decides it by the vertex cut."""
+    g = draw(mixed_graphs(max_n=max_n))
+    a, b = draw(st.sampled_from([(x, y) for x in g.vertices for y in g.vertices
+                                 if x != y]))
+    ancestors = sorted(relatives(g, {a, b}, ANCESTORS_INCLUSIVE) - {a, b})
+    cond = draw(st.sets(st.sampled_from(ancestors)) if ancestors else st.just(set()))
+    return g, SeparationQuery(a, b, frozenset(cond))
+
+
+def _cut_separates(g, q):
+    a, b = g.index[q.a], g.index[q.b]
+    keep = g.ancestor_masks[a] | g.ancestor_masks[b]
+    cond_mask = sum(1 << g.index[v] for v in q.cond)
+    assert not cond_mask & ~keep
+    return not flood(1 << a, augmented_masks(g, keep), cond_mask, 1 << b) >> b & 1
+
+
+@SETTINGS
+@given(graph_and_ancestral_query())
+def test_cut_matches_oracle_and_search(gq):
+    g, q = gq
+    cut = _cut_separates(g, q)
+    cond_mask = sum(1 << g.index[v] for v in q.cond)
+    witness = separation._search(g, q, g.index[q.a], g.index[q.b], cond_mask)
+    assert cut == is_separated_oracle(g, q).separated == (witness is None)
+    assert is_separated(g, q) == SeparationVerdict(cut, witness)
+
+
+@SETTINGS
+@given(graph_and_ancestral_query())
+def test_cut_is_monotone_in_the_conditioning_set(gq):
+    g, q = gq
+    if not _cut_separates(g, q):
+        return
+    ancestors = relatives(g, {q.a, q.b}, ANCESTORS_INCLUSIVE) - {q.a, q.b}
+    for v in ancestors - q.cond:
+        assert _cut_separates(g, SeparationQuery(q.a, q.b, q.cond | {v}))
 
 
 @SETTINGS

@@ -6,7 +6,7 @@ from conftest import LOW_SET, PAR_A
 from seplat import separation
 from seplat.errors import AdjacentVertices, InvalidPath
 from seplat.graph import Path, build_graph, format_path, simple_paths
-from seplat.lattice import BOX, Window
+from seplat.lattice import BOX, DIAMOND, L3C, Cell, Window, prop1_sweep
 from seplat.lattice import build_graph as build_lattice_graph
 from seplat.markov import latent_expansion
 from seplat.random_graphs import random_mixed_graph
@@ -205,6 +205,38 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
         counted.clear()
         minimal_separator(g, a, b)
         assert len(counted) == calls == len(counted[0].cond) + 1
+
+
+def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
+    # criterion 13's sweep: every region lies within An({a, b}), so the
+    # vertex cut decides each row and the search runs once per connected row
+    search, searched = separation._search, []
+
+    def spy(g, q, a, b, cond_mask):
+        searched.append(q.cond)
+        return search(g, q, a, b, cond_mask)
+
+    monkeypatch.setattr(separation, "_search", spy)
+    rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
+                      Cell(DIAMOND, 5, 2), L3C, max_cells=5, lattice_graph=diamond6)
+    connected = [frozenset(r.region) for r in rep.rows if not r.separated]
+    assert (rep.total, len(connected)) == (9401, 8775)
+    assert searched == connected
+
+
+def test_cut_memo_follows_the_probe_pair(diamond6):
+    # alternate two probe pairs on one graph, so the one-entry memo of
+    # augmented masks changes at every query; dropping any cell of either
+    # minimal separator connects the pair
+    probes = [(A, B, {"d(3,0)", "d(3,1)"}),
+              ("d(2,3)", "d(3,2)", {"d(2,1)", "d(2,2)", "d(3,1)"})]
+    for k in range(3):
+        for a, b, sep in probes:
+            dropped = sorted(sep)[k % len(sep)]
+            for cond, separated in ((sep, True), (sep - {dropped}, False)):
+                q = SeparationQuery(a, b, frozenset(cond))
+                assert is_separated(diamond6, q).separated is separated
+                assert is_separated_oracle(diamond6, q).separated is separated
 
 
 def test_no_proper_subset_of_a_minimal_separator_separates():
