@@ -101,13 +101,12 @@ _LUT_AXES = 8
 # which nothing else in seplat calls, adds about 0.25 MB to the resident set.
 _LUT_BITS = np.array([[row >> (_LUT_AXES - 1 - col) & 1 for col in range(_LUT_AXES)]
                       for row in range(2 ** _LUT_AXES)], dtype=np.intp)
-_BLOCK_AXES = 16
-# target_marginal streams the joint in groups that fix every axis but the
-# last 16, each continued from one shared head of at most 2^16 atoms and
-# chained into the marginal as one block.  Its peak is then the head, a
+# Atoms per chained block, both of a table's rows (_marginal_table) and of
+# the groups that target_marginal streams, each continued from one shared
+# head of at most 2^16 atoms.  The streamed peak is then the head, a
 # group's last fold step (2^15 + 2^16 atoms) and the block's bins: 1.75 MB.
 # 2^17-atom groups ran 10-15% faster on 21-22 vertices but peaked at 2.6 MB.
-_GROUP_AXES = 16
+_BLOCK_AXES = 16
 _HEAD_AXES = 16
 
 
@@ -132,12 +131,10 @@ def _marginal_table(table: np.ndarray, weights: list[int]) -> np.ndarray:
     """Flat marginal of table: weights[i] is the output-index weight of axis
     i, a distinct power of two for a kept axis and 0 for a dropped one.
 
-    Every output atom adds its input atoms left to right in C order,
-    starting from 0.0, which is what table.sum(axis=dropped) does whenever
-    the last axis is kept, so the two agree bit for bit there.  One
-    np.bincount does the additions; tables above 2^16 atoms go through
-    _chain_blocks, 2^16 atoms at a time.  Weights that keep every axis in
-    order give the table itself, flat.
+    The bits are those of _chain_blocks: one np.bincount does the additions
+    for a table of at most 2^_BLOCK_AXES atoms; larger tables chain their
+    rows of that size.  Weights that keep every axis in order give the
+    table itself, flat.
     """
     flat = table.reshape(-1)
     if weights == [2 ** i for i in reversed(range(len(weights)))]:
@@ -146,39 +143,27 @@ def _marginal_table(table: np.ndarray, weights: list[int]) -> np.ndarray:
     if low <= 0:
         return np.bincount(_atom_bins(weights), flat,
                            minlength=2 ** sum(1 for w in weights if w))
-    blocks = (block.copy() for block in flat.reshape(2 ** low, -1))
-    return _chain_blocks(blocks, weights, _BLOCK_AXES)
+    return _chain_blocks(flat.reshape(2 ** low, -1), weights)
 
 
-def _chain_blocks(blocks: Iterable[np.ndarray], weights: list[int],
-                  block_axes: int) -> np.ndarray:
-    """_marginal_table of a table given as its blocks: the flat 2^block_axes
-    atoms of each assignment of the leading axes, in C order, as arrays
-    that the chain may overwrite.
+def _chain_blocks(blocks: Iterable[np.ndarray], weights: list[int]) -> np.ndarray:
+    """_marginal_table of a table given as its blocks: the flat
+    2^_BLOCK_AXES atoms of each assignment of the leading axes, in C order.
 
-    Each block is one np.bincount.  First the partial sum of each of its
-    output atoms is added to that atom's first input atom in the block;
-    since 0.0 + s == s and s + a == a + s, each addition chain continues
-    exactly, so the bits are those of one np.bincount over the whole
-    table.  Scratch memory is the bins of one block.
+    Every output atom adds its input atoms left to right in C order,
+    starting from 0.0, which is what table.sum(axis=dropped) does whenever
+    the last axis is kept, so the two agree bit for bit there.  np.add.at
+    adds each atom of a block into its bin in atom order, continuing the
+    sums of the blocks before it, and never writes into a block.  Scratch
+    memory is the bins of one block.
     """
-    low = len(weights) - block_axes
-    tail = weights[low:]
-    # A block fixes the leading axes; its output atoms are offset + out_bins.
-    kept = sorted((i for i, w in enumerate(tail) if w), key=lambda i: -tail[i])
-    local = [0] * block_axes
-    for r, i in enumerate(kept):
-        local[i] = 2 ** (len(kept) - 1 - r)
-    bins = _atom_bins(local)
-    first = _atom_bins([2 ** (block_axes - 1 - i) for i in kept])
-    out_bins = _atom_bins([tail[i] for i in kept])
+    low = len(weights) - _BLOCK_AXES
+    bins = _atom_bins(weights[low:])
     out = np.zeros(2 ** sum(1 for w in weights if w))
     blocks = iter(blocks)
     for offset in _atom_bins(weights[:low]):
-        idx = out_bins + offset
         block = next(blocks)
-        block[first] += out[idx]
-        out[idx] = np.bincount(bins, block, minlength=len(idx))
+        np.add.at(out[offset:], bins, block)
         del block  # so that it is freed before the next block is made
     return out
 
@@ -187,10 +172,8 @@ class Distribution:
     """Exact joint over binary variables, stored as a dense tensor with one
     axis per variable, in the order given (any order).
 
-    Marginals come back with their variables in sorted order.  Each output
-    atom adds its input atoms left to right in the table's C order, and the
-    scratch memory of a marginal is bounded at 2^16 atoms per block (see
-    _marginal_table).
+    Marginals come back with their variables in sorted order, with the
+    bits and the 2^16-atom scratch bound of _chain_blocks.
     """
 
     __slots__ = ("vars", "table")
@@ -385,7 +368,7 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     topological allows: box latents sort after their children) is a
     broadcast product, done in place when the scope does not grow.
     _closure_marginal folds this table whole when it keeps every vertex or
-    there are at most _GROUP_AXES of them; otherwise _joint_groups takes
+    there are at most _BLOCK_AXES of them; otherwise _joint_groups takes
     the same steps without ever holding it.
     """
     return _fold(np.ones((1,) * len(verts)), _cpt_steps(verts, cpts))
@@ -468,17 +451,17 @@ def _closure_marginal(verts: tuple[str, ...], cpts: CptSet,
     _checked_closure.  Every other vertex, latent or not, is summed out in
     the one pass of _marginal_table.  The joint is folded whole when keep
     is all of verts (streaming it would be 4-5 times slower above 16
-    vertices) or there are at most _GROUP_AXES of them.  Otherwise it comes
+    vertices) or there are at most _BLOCK_AXES of them.  Otherwise it comes
     in groups (see _joint_groups), each chained into the output as one
     block, so scratch memory is a few 2^16-atom arrays whatever the budget.
-    Both give the same bits."""
+    Both give the bits of _chain_blocks."""
     keep = sorted(keep)
     weights = _axis_weights(verts, keep)
-    lead = len(verts) - _GROUP_AXES
+    lead = len(verts) - _BLOCK_AXES
     if len(keep) == len(verts) or lead <= 0:
         table = _marginal_table(_tensor_joint(verts, cpts), weights)
     else:
-        table = _chain_blocks(_joint_groups(verts, cpts, lead), weights, _GROUP_AXES)
+        table = _chain_blocks(_joint_groups(verts, cpts, lead), weights)
     return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
@@ -503,7 +486,7 @@ def target_marginal(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
     """Exact marginal over the targets, with the closure checks of
     ancestral_margin and the bits of ancestral_margin(...).marginal(targets).
-    Above _GROUP_AXES closure vertices it never holds the closure's table
+    Above _BLOCK_AXES closure vertices it never holds the closure's table
     (see _closure_marginal)."""
     targets = frozenset(targets)
     return _closure_marginal(_checked_closure(dag, cpts, targets, budget), cpts, targets)
@@ -636,37 +619,30 @@ class LocalCausalityReport:
 
 def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
                       variant: str, tol: float = 1e-9,
-                      probes: Iterable[tuple[lattice_mod.Cell, lattice_mod.Cell]] | None = None,
                       max_cells: int | None = None) -> LocalCausalityReport:
-    """Screening-off audit: for each spacelike probe pair, every enumerated
-    shielder-off region and every positive-probability atom of it, check
-    that conditioning factorizes the pair.  Each probe's margin is over the
-    observed vertices of its ancestral closure, latents summed out as it
-    streams (see _closure_marginal)."""
+    """Screening-off audit of the canonical spacelike probe pair: for every
+    enumerated shielder-off region and every positive-probability atom of
+    it, check that conditioning factorizes the pair.  The margin is over
+    the observed vertices of the pair's ancestral closure, latents summed
+    out as it streams (see _closure_marginal)."""
     g = lattice_mod.build_graph(kind, window)
     dag = latent_expansion(g)
-    if probes is None:
-        probes = [lattice_mod.canonical_probe_pair(kind, window)]
-
-    report = LocalCausalityReport(variant)
-    for cell_a, cell_b in probes:
-        a, b = cell_a.label, cell_b.label
-        verts = _checked_closure(dag, cpts, (a, b), DEFAULT_JOINT_BUDGET)
-        margin = _closure_marginal(verts, cpts, [v for v in verts if v in g])
-        ev_a, ev_b = EventRef.single(a), EventRef.single(b)
-        gap = ci_violation(margin, ev_a, ev_b, ())
-        probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
-        for labels, l1, l2, l3 in lattice_mod.shielding_sweep(
-                cell_a, cell_b, window, variant, max_cells):
-            if not (l1 and l2 and l3):
-                continue
-            # L1 cells lie in A's causal past, so in the window they are graph
-            # ancestors of a, all in the margin; else ci_details raises UnknownVertex
-            viol, atoms = ci_details(margin, ev_a, ev_b, labels)
-            probe.checks.append(ScreeningCheck((a, b), labels, atoms, viol,
-                                               viol <= tol))
-        report.probes.append(probe)
-    return report
+    cell_a, cell_b = lattice_mod.canonical_probe_pair(kind, window)
+    a, b = cell_a.label, cell_b.label
+    verts = _checked_closure(dag, cpts, (a, b), DEFAULT_JOINT_BUDGET)
+    margin = _closure_marginal(verts, cpts, [v for v in verts if v in g])
+    ev_a, ev_b = EventRef.single(a), EventRef.single(b)
+    gap = ci_violation(margin, ev_a, ev_b, ())
+    probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
+    for labels, l1, l2, l3 in lattice_mod.shielding_sweep(
+            cell_a, cell_b, window, variant, max_cells):
+        if not (l1 and l2 and l3):
+            continue
+        # L1 cells lie in A's causal past, so in the window they are graph
+        # ancestors of a, all in the margin; else ci_details raises UnknownVertex
+        viol, atoms = ci_details(margin, ev_a, ev_b, labels)
+        probe.checks.append(ScreeningCheck((a, b), labels, atoms, viol, viol <= tol))
+    return LocalCausalityReport(variant, [probe])
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def assert_streamed_bits(dag, cpts, targets, head_axes, group_axes):
     want = marginal_reference(dag, cpts, targets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(markov, "_HEAD_AXES", head_axes)
-        mp.setattr(markov, "_GROUP_AXES", group_axes)
+        mp.setattr(markov, "_BLOCK_AXES", group_axes)
         got = markov.target_marginal(dag, cpts, targets)
     assert got.vars == tuple(sorted(targets))
     assert got.table.reshape(-1).tobytes() == want.tobytes()
@@ -245,7 +245,7 @@ def test_streamed_marginal_on_soundness_closures(soundness_closures, n_vars):
     dag, closures, queries, _ = soundness_closures
     trial = next(t for t, c in enumerate(closures) if c is not None and len(c) == n_vars)
     cpts = markov.random_cpts(dag, trial)
-    assert_streamed_bits(dag, cpts, queries[trial], markov._HEAD_AXES, markov._GROUP_AXES)
+    assert_streamed_bits(dag, cpts, queries[trial], markov._HEAD_AXES, markov._BLOCK_AXES)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

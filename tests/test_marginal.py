@@ -1,11 +1,13 @@
 """The marginal kernel of seplat.markov against two references: an exactly
 rounded sum (math.fsum per output atom), and numpy's multi-axis sum, which it
-matches bit for bit whenever the table's last variable is kept."""
+matches bit for bit whenever the table's last variable is kept.  Tables above
+one block of atoms are chained a block at a time, with np.add.at."""
 
 import math
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from seplat import markov
@@ -14,9 +16,9 @@ from seplat.markov import Distribution
 
 
 @st.composite
-def marginal_cases(draw):
-    # 17 and 18 variables run the carried-block path (above 2^16 atoms)
-    n = draw(st.one_of(st.integers(1, 16), st.integers(17, 18)))
+def marginal_cases(draw, sizes=st.one_of(st.integers(1, 16), st.integers(17, 18))):
+    # 17 and 18 variables chain 2^16-atom blocks (above 2^16 atoms)
+    n = draw(sizes)
     order = draw(st.permutations([f"v{i:02d}" for i in range(n)]))
     kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -47,6 +49,21 @@ def test_marginal_kernel_matches_references(case):
     d, keep = case
     m = d.marginal(keep)
     assert m.vars == tuple(sorted(keep))
+    assert np.allclose(m.table, fsum_marginal(d, keep), rtol=1e-10, atol=0.0)
+    if d.vars[-1] in keep:
+        assert m.table.tobytes() == numpy_marginal(d, keep).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(marginal_cases(st.integers(2, 12)), st.integers(0, 3))
+def test_marginal_chains_many_small_read_only_blocks(case, block_axes):
+    # up to 2^12 blocks of 2^block_axes atoms; a write into a block of the
+    # read-only table would raise
+    d, keep = case
+    d.table.flags.writeable = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "_BLOCK_AXES", block_axes)
+        m = d.marginal(keep)
     assert np.allclose(m.table, fsum_marginal(d, keep), rtol=1e-10, atol=0.0)
     if d.vars[-1] in keep:
         assert m.table.tobytes() == numpy_marginal(d, keep).tobytes()
