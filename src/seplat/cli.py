@@ -78,10 +78,14 @@ def _write_out(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def document_text(doc: dict) -> str:
+    """The text of a JSON document file: sorted keys, indent 2, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def graph_document_text(g: MixedGraph, kind: str = "abstract",
                         window: dict | None = None) -> str:
-    return json.dumps(graph_to_json_dict(g, kind, window),
-                      indent=2, sort_keys=True) + "\n"
+    return document_text(graph_to_json_dict(g, kind, window))
 
 
 def _dot_id(label: str) -> str:
@@ -249,20 +253,15 @@ def _cmd_mc_witness(args) -> int:
     from . import markov as mk
 
     g, _kind, _window = _load_graph(args.graph)
-    cond = _parse_label_set(args.c)
-    cpts = mk.find_dependence_witness(g, args.a, args.b, cond,
-                                      args.attempts, args.threshold, args.seed)
-    if cpts is None:
+    found = mk.find_dependence_witness(g, args.a, args.b, _parse_label_set(args.c),
+                                       args.attempts, args.threshold, args.seed)
+    if found is None:
         _emit({"found": False})
         return 1
-    margin = mk.target_marginal(mk.latent_expansion(g), cpts, {args.a, args.b} | cond)
-    viol = mk.ci_violation(margin, mk.EventRef.single(args.a),
-                           mk.EventRef.single(args.b), sorted(cond))
+    cpts, gap = found
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(cpts.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _emit({"found": True, "violation": viol, "out": args.out})
+        _write_out(args.out, document_text(cpts.to_json_dict()))
+    _emit({"found": True, "violation": gap, "out": args.out})
     return 0
 
 
@@ -275,15 +274,14 @@ def _cmd_mc_local_causality(args) -> int:
     report = mk.is_locally_causal(kind, window, cpts, args.variant,
                                   tol=args.tol, max_cells=args.max_cells)
     if args.report:
-        write_report(args.report, MC_CSV_HEADER,
-                     [mc_csv_row(c) for p in report.probes for c in p.checks])
+        write_report(args.report, MC_CSV_HEADER, map(mc_csv_row, report.checks))
     _emit({
         "locally_causal": report.locally_causal,
         "screening_failures": len(report.failures),
-        "probes": [{"a": p.a, "b": p.b, "correlated": p.correlated,
-                    "regions_checked": p.regions_checked,
-                    "atoms_checked": p.atoms_checked,
-                    "max_violation": p.max_violation} for p in report.probes],
+        "probes": [{"a": report.a, "b": report.b, "correlated": report.correlated,
+                    "regions_checked": report.regions_checked,
+                    "atoms_checked": report.atoms_checked,
+                    "max_violation": report.max_violation}],
         "report": args.report,
     })
     return 0 if report.locally_causal else 1
@@ -316,89 +314,60 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option; a subcommand lists its options as
+    parents, in help order, so a shared option is declared once."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 @cache  # built once; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
+    graph = _option("--graph", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--a", required=True)
+    pair.add_argument("--b", required=True)
+    cond = _option("--c", default="")
+    variant = _option("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
+    seed = _option("--seed", type=_non_negative_int, default=0)
+    tol = _option("--tol", type=_tolerance, default=1e-9)
+    max_cells = _option("--max-cells", type=int)
+    report = _option("--report")
+    out = _option("--out")
+
     parser = argparse.ArgumentParser(prog="seplat")
     top = parser.add_subparsers(dest="group", required=True)
+    lattice, sep, shield, prop1, mc, export = (
+        top.add_parser(name).add_subparsers(dest="cmd", required=True)
+        for name in ("lattice", "sep", "shield", "prop1", "mc", "export"))
 
-    lattice = top.add_parser("lattice").add_subparsers(dest="cmd", required=True)
-    gen = lattice.add_parser("gen")
-    gen.add_argument("--kind", choices=(lat.DIAMOND, lat.BOX), required=True)
-    for name in _BOUND_NAMES:
-        gen.add_argument(f"--{name}", type=int)
-    gen.add_argument("--out")
-    gen.set_defaults(func=_cmd_lattice_gen)
+    def command(group, name: str, func, *options: argparse.ArgumentParser) -> None:
+        group.add_parser(name, parents=options).set_defaults(func=func)
 
-    sep = top.add_parser("sep").add_subparsers(dest="cmd", required=True)
-    check = sep.add_parser("check")
-    check.add_argument("--graph", required=True)
-    check.add_argument("--a", required=True)
-    check.add_argument("--b", required=True)
-    check.add_argument("--c", default="")
-    check.add_argument("--oracle", action="store_true")
-    check.add_argument("--format", choices=("json", "csv"), default="json")
-    check.set_defaults(func=_cmd_sep_check)
-    minimal = sep.add_parser("minimal")
-    minimal.add_argument("--graph", required=True)
-    minimal.add_argument("--a", required=True)
-    minimal.add_argument("--b", required=True)
-    minimal.set_defaults(func=_cmd_sep_minimal)
-
-    shield = top.add_parser("shield").add_subparsers(dest="cmd", required=True)
-    scheck = shield.add_parser("check")
-    scheck.add_argument("--graph", required=True)
-    scheck.add_argument("--a", required=True)
-    scheck.add_argument("--b", required=True)
-    scheck.add_argument("--region", required=True)
-    scheck.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
-    scheck.set_defaults(func=_cmd_shield_check)
-
-    prop1 = top.add_parser("prop1").add_subparsers(dest="cmd", required=True)
-    verify = prop1.add_parser("verify")
-    verify.add_argument("--graph", required=True)
-    verify.add_argument("--a", required=True)
-    verify.add_argument("--b", required=True)
-    verify.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
-    verify.add_argument("--max-cells", type=int)
-    verify.add_argument("--budget", type=_non_negative_int, default=lat.DEFAULT_ENUM_BUDGET)
-    verify.add_argument("--report")
-    verify.set_defaults(func=_cmd_prop1_verify)
-
-    mc = top.add_parser("mc").add_subparsers(dest="cmd", required=True)
-    soundness = mc.add_parser("soundness")
-    soundness.add_argument("--graph", required=True)
-    soundness.add_argument("--trials", type=_non_negative_int, default=100)
-    soundness.add_argument("--seed", type=_non_negative_int, default=0)
-    soundness.add_argument("--tol", type=_tolerance, default=1e-9)
-    soundness.add_argument("--max-cond", type=_non_negative_int, default=3)
-    soundness.add_argument("--budget", type=_non_negative_int, default=lat.DEFAULT_JOINT_BUDGET)
-    soundness.add_argument("--report")
-    soundness.set_defaults(func=_cmd_mc_soundness)
-    witness = mc.add_parser("witness")
-    witness.add_argument("--graph", required=True)
-    witness.add_argument("--a", required=True)
-    witness.add_argument("--b", required=True)
-    witness.add_argument("--c", default="")
-    witness.add_argument("--attempts", type=_non_negative_int, default=500)
-    witness.add_argument("--threshold", type=_tolerance, default=0.01)
-    witness.add_argument("--seed", type=_non_negative_int, default=0)
-    witness.add_argument("--out")
-    witness.set_defaults(func=_cmd_mc_witness)
-    local = mc.add_parser("local-causality")
-    local.add_argument("--graph", required=True)
-    local.add_argument("--variant", choices=(lat.L3C, lat.L3Q), default=lat.L3C)
-    local.add_argument("--seed", type=_non_negative_int, default=0)
-    local.add_argument("--tol", type=_tolerance, default=1e-9)
-    local.add_argument("--max-cells", type=int)
-    local.add_argument("--report")
-    local.set_defaults(func=_cmd_mc_local_causality)
-
-    export = top.add_parser("export").add_subparsers(dest="cmd", required=True)
-    dot = export.add_parser("dot")
-    dot.add_argument("--graph", required=True)
-    dot.add_argument("--out")
-    dot.set_defaults(func=_cmd_export_dot)
-
+    command(lattice, "gen", _cmd_lattice_gen,
+            _option("--kind", choices=(lat.DIAMOND, lat.BOX), required=True),
+            *(_option(f"--{name}", type=int) for name in _BOUND_NAMES), out)
+    command(sep, "check", _cmd_sep_check, graph, pair, cond,
+            _option("--oracle", action="store_true"),
+            _option("--format", choices=("json", "csv"), default="json"))
+    command(sep, "minimal", _cmd_sep_minimal, graph, pair)
+    command(shield, "check", _cmd_shield_check, graph, pair,
+            _option("--region", required=True), variant)
+    command(prop1, "verify", _cmd_prop1_verify, graph, pair, variant, max_cells,
+            _option("--budget", type=_non_negative_int, default=lat.DEFAULT_ENUM_BUDGET),
+            report)
+    command(mc, "soundness", _cmd_mc_soundness, graph,
+            _option("--trials", type=_non_negative_int, default=100), seed, tol,
+            _option("--max-cond", type=_non_negative_int, default=3),
+            _option("--budget", type=_non_negative_int, default=lat.DEFAULT_JOINT_BUDGET),
+            report)
+    command(mc, "witness", _cmd_mc_witness, graph, pair, cond,
+            _option("--attempts", type=_non_negative_int, default=500),
+            _option("--threshold", type=_tolerance, default=0.01), seed, out)
+    command(mc, "local-causality", _cmd_mc_local_causality, graph, variant, seed, tol,
+            max_cells, report)
+    command(export, "dot", _cmd_export_dot, graph, out)
     return parser
 
 

@@ -93,10 +93,14 @@ class Cell:
 
 
 def parse_cell(label: str) -> Cell:
+    """The cell of a canonical label such as "d(1,4)".  Any other spelling
+    of it ("d(01,4)", "d(-0,4)") is an UnknownCell, so that every command
+    reads a label as the one graph vertex of that name."""
     m = _LABEL_RE.match(label)
-    if not m:
+    cell = Cell(_KIND_OF_PREFIX[m.group(1)], int(m.group(2)), int(m.group(3))) if m else None
+    if cell is None or cell.label != label:
         raise UnknownCell(f"bad cell label {label!r}")
-    return Cell(_KIND_OF_PREFIX[m.group(1)], int(m.group(2)), int(m.group(3)))
+    return cell
 
 
 @dataclass(frozen=True)

@@ -579,7 +579,9 @@ class ScreeningCheck:
 
 
 @dataclass
-class ProbeReport:
+class LocalCausalityReport:
+    """Screening-off audit of one probe pair: the pair's unconditioned
+    correlation gap and one check per shielder-off region."""
     a: str
     b: str
     correlated: bool
@@ -602,16 +604,6 @@ class ProbeReport:
     def failures(self) -> list[ScreeningCheck]:
         return [c for c in self.checks if not c.passed]
 
-
-@dataclass
-class LocalCausalityReport:
-    variant: str
-    probes: list[ProbeReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[ScreeningCheck]:
-        return [f for p in self.probes for f in p.failures]
-
     @property
     def locally_causal(self) -> bool:
         return not self.failures
@@ -633,7 +625,7 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
     margin = _closure_marginal(verts, cpts, [v for v in verts if v in g])
     ev_a, ev_b = EventRef.single(a), EventRef.single(b)
     gap = ci_violation(margin, ev_a, ev_b, ())
-    probe = ProbeReport(a, b, correlated=gap > tol, correlation_gap=gap)
+    report = LocalCausalityReport(a, b, correlated=gap > tol, correlation_gap=gap)
     for labels, l1, l2, l3 in lattice_mod.shielding_sweep(
             cell_a, cell_b, window, variant, max_cells):
         if not (l1 and l2 and l3):
@@ -641,8 +633,8 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
         # L1 cells lie in A's causal past, so in the window they are graph
         # ancestors of a, all in the margin; else ci_details raises UnknownVertex
         viol, atoms = ci_details(margin, ev_a, ev_b, labels)
-        probe.checks.append(ScreeningCheck((a, b), labels, atoms, viol, viol <= tol))
-    return LocalCausalityReport(variant, [probe])
+        report.checks.append(ScreeningCheck((a, b), labels, atoms, viol, viol <= tol))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +727,11 @@ def _aligned_assignment(g: MixedGraph, dag: MixedGraph, cond: frozenset[str],
 
 
 def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
-                            attempts: int, threshold: float, seed: int) -> CptSet | None:
+                            attempts: int, threshold: float,
+                            seed: int) -> tuple[CptSet, float] | None:
     """Search for CPTs whose joint violates screening-off by more than
-    threshold on some atom of cond.
+    threshold on some atom of cond; return them with that violation (the
+    ci_violation of their margin on {a, b} | cond), or None.
 
     Refuses separating conditioning sets (soundness makes success
     impossible).  The restarts alternate between the path-aligned channel
@@ -766,6 +760,7 @@ def find_dependence_witness(g: MixedGraph, a: str, b: str, cond: Iterable[str],
             tables[v] = VertexCpt(dag.parents_of(v), arr)
         cpts = CptSet(tables)
         margin = target_marginal(dag, cpts, {a, b} | cond)
-        if ci_violation(margin, ev_a, ev_b, sorted(cond)) > threshold:
-            return cpts
+        gap = ci_violation(margin, ev_a, ev_b, sorted(cond))
+        if gap > threshold:
+            return cpts, gap
     return None

@@ -228,14 +228,16 @@ def test_criterion_4_non_shielder_connection(diamond6):
     region = Region.of(parse_cell(v) for v in LOW_SET)
     verdict = shielder_off(region, D_A, D_B, L3C, DIAMOND_WINDOW)
     sep = is_separated(diamond6, SeparationQuery(A, B, LOW_SET))
-    cpts = find_dependence_witness(diamond6, A, B, LOW_SET,
-                                   attempts=500, threshold=0.01, seed=7)
-    found = cpts is not None
+    witness = find_dependence_witness(diamond6, A, B, LOW_SET,
+                                      attempts=500, threshold=0.01, seed=7)
+    found = witness is not None
     violation = 0.0
     if found:
+        cpts, gap = witness
         margin = ancestral_margin(diamond6, cpts, {A, B} | LOW_SET)
         violation = ci_violation(margin, EventRef.single(A), EventRef.single(B),
                                  sorted(LOW_SET))
+        assert gap == pytest.approx(violation, abs=1e-12)
     ok = (not verdict.l3 and not sep.separated and sep.witness is not None
           and found and violation > 0.01)
     _report(4, ok, f"low region: L3C={verdict.l3}, connected with witness, "
@@ -367,8 +369,8 @@ def test_criterion_11_local_causality(diamond6, shielder_off_sets):
         rep = is_locally_causal(DIAMOND, DIAMOND_WINDOW,
                                 random_cpts(diamond6, seed), L3C)
         failures += len(rep.failures)
-        regions = rep.probes[0].regions_checked
-        atoms += rep.probes[0].atoms_checked
+        regions = rep.regions_checked
+        atoms += rep.atoms_checked
     ok = failures == 0 and regions == len(shielder_off_sets)
     _report(11, ok, f"20 models x {regions} shielder-off regions "
                     f"({atoms} atoms total): {failures} screening failures")

@@ -29,6 +29,29 @@ CANONICAL_CSV_SHA256 = {
 # the CI arithmetic shows here.
 MC_SOUNDNESS_SHA256 = "64a11f7edea71207a0bd824d3a023bd54ff917bd296369e958a32971d0e98f1d"
 
+# `mc local-causality --seed 3 --report` on the 4x4 diamond and the 3x9 box:
+# the report CSVs, and the payloads without their `report` path.
+MC_LOCAL_CAUSALITY = {
+    "diamond4": (
+        ["--kind", "diamond", "--imin", "0", "--imax", "3", "--jmin", "0", "--jmax", "3"],
+        "97011a2aa6b4995e045a4ccf83d6b9d1fbb2d1da431e0aefbc4d62fdb59931ba",
+        {"locally_causal": True, "screening_failures": 0,
+         "probes": [{"a": "d(1,2)", "b": "d(2,1)", "correlated": True,
+                     "regions_checked": 4, "atoms_checked": 72,
+                     "max_violation": 1.1102230246251565e-16}]}),
+    "box3x9": (
+        ["--kind", "box", "--kmin", "0", "--kmax", "2", "--mmin", "0", "--mmax", "8"],
+        "d9708ff650f9fd5286bcc4406c571d8bae573f47d3b13de3851eae6a67459934",
+        {"locally_causal": True, "screening_failures": 0,
+         "probes": [{"a": "b(1,2)", "b": "b(1,6)", "correlated": False,
+                     "regions_checked": 1, "atoms_checked": 8,
+                     "max_violation": 1.1102230246251565e-16}]}),
+}
+
+# The CPT file of `mc witness --seed 7 --out` on the 6x6 diamond, A/B given
+# d(0,0)+d(0,1)+d(1,0); its payload prints violation 0.1328602500000048.
+MC_WITNESS_SHA256 = "0f0ca046ff6a11dcf1e6af1b26a5e315d6dc6a90100650740d3ac941f35fc1f0"
+
 # `export dot` of the 3x3 box lattice written by the box_file fixture.
 BOX_DOT_SHA256 = "25f178a22bc924c1c60a853f79d6d8867e6fed262c5590eaec470e0b3164d2d0"
 
@@ -200,6 +223,18 @@ def test_shield_check(diamond_file, capsys):
 
     assert main(["shield", "check", "--graph", str(diamond_file), "--a", A,
                  "--b", B, "--region", "d(1,4)+d(0,3)"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop1", "verify", "--a", A, "--b", "d(04,1)", "--max-cells", "2"],
+    ["prop1", "verify", "--a", "d(1,04)", "--b", B, "--max-cells", "2"],
+    ["shield", "check", "--a", A, "--b", B, "--region", "d(00,3)+d(0,4)+d(1,3)"],
+    ["shield", "check", "--a", A, "--b", B, "--region", "d(-0,3)+d(0,4)+d(1,3)"],
+    ["shield", "check", "--a", "d(01,4)", "--b", B, "--region", "d(0,3)+d(0,4)+d(1,3)"],
+], ids=["prop1_b", "prop1_a", "shield_region", "shield_region_minus_zero", "shield_a"])
+def test_non_canonical_cell_labels_exit_2(diamond_file, capsys, argv):
+    assert main(argv[:2] + ["--graph", str(diamond_file)] + argv[2:]) == 2
+    assert "bad cell label" in capsys.readouterr().err
 
 
 def test_main_calls_share_no_options(diamond_file, capsys):
@@ -386,6 +421,16 @@ def test_mc_witness(diamond_file, tmp_path, capsys):
                  "--c", "d(0,3)+d(0,4)+d(1,3)"]) == 1
 
 
+def test_mc_witness_pinned(diamond_file, tmp_path, capsys):
+    cpt_file = tmp_path / "w.json"
+    assert main(["mc", "witness", "--graph", str(diamond_file), "--a", A, "--b", B,
+                 "--c", "d(0,0)+d(0,1)+d(1,0)", "--seed", "7",
+                 "--out", str(cpt_file)]) == 0
+    assert _last_json(capsys) == {"found": True, "violation": 0.1328602500000048,
+                                  "out": str(cpt_file)}
+    assert hashlib.sha256(cpt_file.read_bytes()).hexdigest() == MC_WITNESS_SHA256
+
+
 def test_mc_witness_not_found(diamond_file, capsys):
     # no violation exceeds 1.0; the fourth attempt is a uniform redraw
     code = main(["mc", "witness", "--graph", str(diamond_file), "--a", A, "--b", B,
@@ -408,6 +453,17 @@ def test_mc_local_causality(tmp_path, capsys):
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "query;atoms_checked;max_violation;verdict"
     assert len(lines) > 1 and all(ln.endswith(";ci") for ln in lines[1:])
+
+
+@pytest.mark.parametrize("name", sorted(MC_LOCAL_CAUSALITY))
+def test_mc_local_causality_pinned(name, tmp_path, capsys):
+    bounds, csv_sha256, payload = MC_LOCAL_CAUSALITY[name]
+    path, report = tmp_path / "g.json", tmp_path / "lc.csv"
+    assert main(["lattice", "gen", *bounds, "--out", str(path)]) == 0
+    assert main(["mc", "local-causality", "--graph", str(path), "--seed", "3",
+                 "--report", str(report)]) == 0
+    assert _last_json(capsys) == dict(payload, report=str(report))
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == csv_sha256
 
 
 def test_export_dot_counts(tmp_path, box_file, capsys):

@@ -64,6 +64,15 @@ def test_cell_labels_round_trip():
         parse_cell("q(1,2)")
 
 
+@pytest.mark.parametrize("label", ["d(04,1)", "d(00,3)", "d(-0,1)", "b(2,007)",
+                                   "b(+2,1)", "d(1, 4)", "d(1,4)\n", "d(\u0661,4)"])
+def test_parse_cell_rejects_non_canonical_labels(label):
+    with pytest.raises(UnknownCell, match="bad cell label"):
+        parse_cell(label)
+    with pytest.raises(UnknownCell, match="bad cell label"):
+        parse_region(f"d(0,4)+{label}")
+
+
 def test_causal_relation_diamond():
     assert causal_relation(d(0, 1), d(1, 0)) == SPACELIKE
     assert causal_relation(d(0, 1), d(1, 1)) == PAST_OF_B  # null corner contact

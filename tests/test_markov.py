@@ -19,6 +19,7 @@ from seplat.markov import (
     VertexCpt,
     ancestral_margin,
     check_cmc,
+    ci_details,
     ci_violation,
     find_dependence_witness,
     is_locally_causal,
@@ -281,24 +282,27 @@ def test_ancestral_margin_matches_full_joint(diamond3):
 
 
 def test_find_witness_explaining_away(collider_graph):
-    cpts = find_dependence_witness(collider_graph, "a", "b", {"c"},
-                                   attempts=20, threshold=0.05, seed=3)
-    assert cpts is not None
+    cpts, gap = find_dependence_witness(collider_graph, "a", "b", {"c"},
+                                        attempts=20, threshold=0.05, seed=3)
     d = joint(collider_graph, cpts)
-    assert ci_violation(d, EventRef.single("a"), EventRef.single("b"), ("c",)) > 0.05
-    again = find_dependence_witness(collider_graph, "a", "b", {"c"},
-                                    attempts=20, threshold=0.05, seed=3)
-    assert again.to_json_dict() == cpts.to_json_dict()
+    violation = ci_violation(d, EventRef.single("a"), EventRef.single("b"), ("c",))
+    assert violation > 0.05
+    assert gap == pytest.approx(violation, abs=1e-12)
+    again, again_gap = find_dependence_witness(collider_graph, "a", "b", {"c"},
+                                               attempts=20, threshold=0.05, seed=3)
+    assert again.to_json_dict() == cpts.to_json_dict() and again_gap == gap
 
 
 def test_find_witness_copies_down_to_a_conditioned_descendant():
     # a->c<-b with c->d->e: conditioning on e opens the collider c only if
     # the plan copies c down the chain to e
     g = build_graph("abcde", [("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")])
-    cpts = find_dependence_witness(g, "a", "b", {"e"}, attempts=1, threshold=0.1, seed=0)
-    assert cpts is not None
-    gap = ci_violation(joint(g, cpts), EventRef.single("a"), EventRef.single("b"), ("e",))
-    assert gap == pytest.approx(0.18225)
+    cpts, gap = find_dependence_witness(g, "a", "b", {"e"}, attempts=1, threshold=0.1,
+                                        seed=0)
+    violation = ci_violation(joint(g, cpts), EventRef.single("a"), EventRef.single("b"),
+                             ("e",))
+    assert violation == pytest.approx(0.18225)
+    assert gap == pytest.approx(violation, abs=1e-12)
 
 
 def test_find_witness_through_a_spouse_edge():
@@ -333,11 +337,11 @@ def test_is_locally_causal_small_windows():
         dag = latent_expansion(g)
         rep = is_locally_causal(kind, window, random_cpts(dag, 2), "l3c")
         assert rep.locally_causal
-        assert rep.probes[0].regions_checked > 0
-        assert rep.probes[0].atoms_checked > 0
+        assert rep.regions_checked > 0
+        assert rep.atoms_checked > 0
     # a CPT missing from a probe's ancestral closure is named by ancestral_margin
     cpts = random_cpts(dag, 2)
-    probe = rep.probes[0].a
+    probe = rep.a
     without = CptSet({v: t for v, t in cpts.tables.items() if v != probe})
     with pytest.raises(UnknownVertex, match=re.escape(probe)):
         is_locally_causal(BOX, Window(0, 2, 0, 8), without, "l3c")
@@ -357,7 +361,24 @@ def test_is_locally_causal_checks_the_sweeps_shielder_off_regions(kind, window, 
     sweep = prop1_sweep(kind, window, cell_a, cell_b, variant, lattice_graph=g)
     expected = [r.region for r in sweep.rows if r.shielder_off]
     assert expected  # 84 and 5 on the diamond, 1 and 1 on the box
-    assert [c.region for c in rep.probes[0].checks] == expected
+    assert [c.region for c in rep.checks] == expected
+
+
+@pytest.mark.parametrize("kind, window", [(DIAMOND, Window(0, 5, 0, 5)),
+                                          (BOX, Window(0, 2, 0, 8))])
+def test_is_locally_causal_checks_match_the_closure_joint(kind, window):
+    # a second margin route: the whole joint of the closure of {a, b} and the
+    # region, latents included, marginalized inside ci_details
+    dag = latent_expansion(build_lattice_graph(kind, window))
+    cpts = random_cpts(dag, 3)
+    rep = is_locally_causal(kind, window, cpts, L3C)
+    assert rep.regions_checked == {DIAMOND: 84, BOX: 1}[kind]
+    ev_a, ev_b = EventRef.single(rep.a), EventRef.single(rep.b)
+    for check in rep.checks:
+        margin = ancestral_margin(dag, cpts, {rep.a, rep.b, *check.region})
+        violation, atoms = ci_details(margin, ev_a, ev_b, check.region)
+        assert atoms == check.atoms
+        assert violation == pytest.approx(check.violation, abs=1e-12)
 
 
 @pytest.mark.parametrize("p1", [
