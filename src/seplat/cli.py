@@ -65,12 +65,13 @@ def mc_csv_row(c: ScreeningCheck) -> list:
             "ci" if c.passed else "violation"]
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(payload: dict, file=None) -> None:
+    print(json.dumps(payload, sort_keys=True), file=file)
 
 
 def _write_out(out: str | None, text: str) -> None:
-    """Write the text to the --out file if one is given, else to stdout."""
+    """Write the text to the --out file if one is given, else to stdout,
+    where it must be all of the output: a summary then goes to stderr."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -138,7 +139,8 @@ def _cmd_lattice_gen(args) -> int:
     _write_out(args.out, graph_document_text(g, args.kind,
                                              lat.window_to_dict(args.kind, window)))
     _emit({"vertices": len(g.vertices), "directed": len(g.directed),
-           "bidirected": len(g.bidirected), "out": args.out})
+           "bidirected": len(g.bidirected), "out": args.out},
+          file=None if args.out else sys.stderr)
     return 0
 
 
@@ -290,7 +292,8 @@ def _cmd_mc_local_causality(args) -> int:
 def _cmd_export_dot(args) -> int:
     g, _kind, _window = _load_graph(args.graph)
     _write_out(args.out, dot_text(g))
-    _emit({"directed": len(g.directed), "bidirected": len(g.bidirected), "out": args.out})
+    _emit({"directed": len(g.directed), "bidirected": len(g.bidirected), "out": args.out},
+          file=None if args.out else sys.stderr)
     return 0
 
 

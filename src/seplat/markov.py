@@ -131,24 +131,21 @@ def _marginal_table(table: np.ndarray, weights: list[int]) -> np.ndarray:
     """Flat marginal of table: weights[i] is the output-index weight of axis
     i, a distinct power of two for a kept axis and 0 for a dropped one.
 
-    The bits are those of _chain_blocks: one np.bincount does the additions
-    for a table of at most 2^_BLOCK_AXES atoms; larger tables chain their
-    rows of that size.  Weights that keep every axis in order give the
-    table itself, flat.
+    Its rows of 2^_BLOCK_AXES atoms are chained by _chain_blocks, which
+    gives the bits; a table of at most that many atoms is one block.
+    Weights that keep every axis in order give the table itself, flat.
     """
     flat = table.reshape(-1)
     if weights == [2 ** i for i in reversed(range(len(weights)))]:
         return flat
-    low = len(weights) - _BLOCK_AXES
-    if low <= 0:
-        return np.bincount(_atom_bins(weights), flat,
-                           minlength=2 ** sum(1 for w in weights if w))
-    return _chain_blocks(flat.reshape(2 ** low, -1), weights)
+    return _chain_blocks(flat.reshape(2 ** max(0, len(weights) - _BLOCK_AXES), -1),
+                         weights)
 
 
 def _chain_blocks(blocks: Iterable[np.ndarray], weights: list[int]) -> np.ndarray:
-    """_marginal_table of a table given as its blocks: the flat
-    2^_BLOCK_AXES atoms of each assignment of the leading axes, in C order.
+    """_marginal_table of a table given as its blocks: the flat atoms of
+    each assignment of all but the last _BLOCK_AXES axes, in C order (one
+    block, the whole table, when there are no more axes than that).
 
     Every output atom adds its input atoms left to right in C order,
     starting from 0.0, which is what table.sum(axis=dropped) does whenever
@@ -157,7 +154,7 @@ def _chain_blocks(blocks: Iterable[np.ndarray], weights: list[int]) -> np.ndarra
     sums of the blocks before it, and never writes into a block.  Scratch
     memory is the bins of one block.
     """
-    low = len(weights) - _BLOCK_AXES
+    low = max(0, len(weights) - _BLOCK_AXES)
     bins = _atom_bins(weights[low:])
     out = np.zeros(2 ** sum(1 for w in weights if w))
     blocks = iter(blocks)
@@ -172,8 +169,8 @@ class Distribution:
     """Exact joint over binary variables, stored as a dense tensor with one
     axis per variable, in the order given (any order).
 
-    Marginals come back with their variables in sorted order, with the
-    bits and the 2^16-atom scratch bound of _chain_blocks.
+    Marginals come back with their variables in sorted order; each one
+    that drops a variable has the bits and scratch bound of _chain_blocks.
     """
 
     __slots__ = ("vars", "table")
@@ -367,9 +364,9 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     Any other step (a parent outside the scope, which an order that is not
     topological allows: box latents sort after their children) is a
     broadcast product, done in place when the scope does not grow.
-    _closure_marginal folds this table whole when it keeps every vertex or
-    there are at most _BLOCK_AXES of them; otherwise _joint_groups takes
-    the same steps without ever holding it.
+    _closure_marginal folds this table whole only when it keeps every
+    vertex; a margin that drops one streams _joint_groups, which takes the
+    same steps.
     """
     return _fold(np.ones((1,) * len(verts)), _cpt_steps(verts, cpts))
 
@@ -448,20 +445,19 @@ def _checked_closure(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
 def _closure_marginal(verts: tuple[str, ...], cpts: CptSet,
                       keep: Iterable[str]) -> Distribution:
     """Exact marginal over keep of the joint of verts, a closure from
-    _checked_closure.  Every other vertex, latent or not, is summed out in
-    the one pass of _marginal_table.  The joint is folded whole when keep
-    is all of verts (streaming it would be 4-5 times slower above 16
-    vertices) or there are at most _BLOCK_AXES of them.  Otherwise it comes
-    in groups (see _joint_groups), each chained into the output as one
-    block, so scratch memory is a few 2^16-atom arrays whatever the budget.
-    Both give the bits of _chain_blocks."""
+    _checked_closure.  When keep is all of verts the whole fold is the
+    answer (streaming it would be 4-5 times slower above 16 vertices).
+    Otherwise the joint comes in groups (see _joint_groups), one group when
+    there are at most _BLOCK_AXES vertices, each chained into the output by
+    _chain_blocks as one block: every other vertex, latent or not, is
+    summed out in that one pass, and scratch memory is a few 2^16-atom
+    arrays whatever the budget."""
     keep = sorted(keep)
-    weights = _axis_weights(verts, keep)
-    lead = len(verts) - _BLOCK_AXES
-    if len(keep) == len(verts) or lead <= 0:
-        table = _marginal_table(_tensor_joint(verts, cpts), weights)
+    if len(keep) == len(verts):
+        table = _tensor_joint(verts, cpts)
     else:
-        table = _chain_blocks(_joint_groups(verts, cpts, lead), weights)
+        lead = max(0, len(verts) - _BLOCK_AXES)
+        table = _chain_blocks(_joint_groups(verts, cpts, lead), _axis_weights(verts, keep))
     return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
@@ -486,8 +482,8 @@ def target_marginal(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
                     budget: int = DEFAULT_JOINT_BUDGET) -> Distribution:
     """Exact marginal over the targets, with the closure checks of
     ancestral_margin and the bits of ancestral_margin(...).marginal(targets).
-    Above _BLOCK_AXES closure vertices it never holds the closure's table
-    (see _closure_marginal)."""
+    Unless the targets are the whole closure, the joint streams: above
+    _BLOCK_AXES vertices it never holds the closure's table."""
     targets = frozenset(targets)
     return _closure_marginal(_checked_closure(dag, cpts, targets, budget), cpts, targets)
 

@@ -46,3 +46,17 @@ def collider_graph():
 @pytest.fixture()
 def common_cause_graph():
     return build_graph(["a", "b", "e"], [("e", "a"), ("e", "b")])
+
+
+def inorder_marginal(atoms, vars, keep):
+    """Reference marginal in plain Python floats, sharing no code with
+    seplat.markov: the table over vars is given as its flat atoms in C
+    order, and each atom is added into its bin over the sorted names keep
+    in that order, every bin starting from 0.0."""
+    keep = sorted(keep)
+    n = len(vars)
+    shifts = [(n - 1 - vars.index(v), len(keep) - 1 - rank) for rank, v in enumerate(keep)]
+    out = [0.0] * 2 ** len(keep)
+    for index, atom in enumerate(atoms):
+        out[sum((index >> src & 1) << dst for src, dst in shifts)] += atom
+    return out

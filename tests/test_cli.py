@@ -86,13 +86,14 @@ def test_lattice_gen_counts(diamond_file, capsys):
 
 
 def test_lattice_gen_to_stdout(diamond_file, capsys):
+    # stdout is the document alone, so that `> g.json` gives a readable graph
     capsys.readouterr()
     assert main(["lattice", "gen", "--kind", "diamond", "--imin", "0", "--imax", "5",
                  "--jmin", "0", "--jmax", "5"]) == 0
-    *document, summary = capsys.readouterr().out.splitlines(keepends=True)
-    assert "".join(document) == diamond_file.read_text()
-    assert json.loads(summary) == {"vertices": 36, "directed": 85, "bidirected": 0,
-                                   "out": None}
+    captured = capsys.readouterr()
+    assert captured.out == diamond_file.read_text()
+    assert json.loads(captured.err) == {"vertices": 36, "directed": 85, "bidirected": 0,
+                                        "out": None}
 
 
 def test_lattice_gen_box_counts(tmp_path, capsys):
@@ -485,15 +486,17 @@ def test_export_dot_labels_with_dot_syntax(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(graph_document_text(build_graph(["x->y", "z"])))
     assert main(["export", "dot", "--graph", str(path)]) == 0
-    assert _last_json(capsys)["directed"] == 0
+    assert json.loads(capsys.readouterr().err)["directed"] == 0
 
+    # stdout is the DOT text alone; the summary goes to stderr
     g = build_graph(['a"b', "c\\d", "e"], [('a"b', "e")], [("c\\d", "e")])
     path.write_text(graph_document_text(g))
     assert main(["export", "dot", "--graph", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:-1] == ["digraph G {", '  "a\\"b";', '  "c\\\\d";', '  "e";',
-                          '  "a\\"b" -> "e";', '  "c\\\\d" -> "e" [dir=both];', "}"]
-    assert json.loads(lines[-1]) == {"directed": 1, "bidirected": 1, "out": None}
+    captured = capsys.readouterr()
+    assert captured.out == "\n".join([
+        "digraph G {", '  "a\\"b";', '  "c\\\\d";', '  "e";',
+        '  "a\\"b" -> "e";', '  "c\\\\d" -> "e" [dir=both];', "}", ""])
+    assert json.loads(captured.err) == {"directed": 1, "bidirected": 1, "out": None}
 
 
 def test_export_dot_malformed_json(tmp_path):

@@ -5,7 +5,8 @@ label order its peak memory must stay near the old table plus the new one,
 and on box latents, which sort after their children, the in-place step
 must keep it there too.  The streamed marginal, target_marginal, must give
 the bits of the marginal kernel over that dense product without ever
-holding it."""
+holding it, and on closures of at most 12 vertices the bits of an in-order
+sum that shares no code with the kernel (conftest.inorder_marginal)."""
 
 import tracemalloc
 
@@ -14,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from conftest import inorder_marginal
 from seplat import markov
 from seplat.cli import main
 from seplat.graph import build_graph
-from seplat.lattice import BOX, Window, canonical_probe_pair
+from seplat.lattice import BOX, DIAMOND, Window, canonical_probe_pair
 from seplat.lattice import build_graph as build_lattice_graph
 from seplat.random_graphs import random_dag, random_mixed_graph
 
@@ -176,10 +178,15 @@ def test_soundness_margin_peak_memory(soundness_closures):
 
 
 def marginal_reference(dag, cpts, targets):
-    """The marginal kernel over the dense product of the targets' closure."""
+    """The marginal kernel over the dense product of the targets' closure,
+    which on at most 12 vertices must have the bits of the in-order sum."""
     verts = tuple(sorted(markov.ancestral_closure(dag, targets)))
-    weights = markov._axis_weights(verts, sorted(targets))
-    return markov._marginal_table(dense_joint(verts, cpts), weights)
+    dense = dense_joint(verts, cpts)
+    want = markov._marginal_table(dense, markov._axis_weights(verts, sorted(targets)))
+    if len(verts) <= 12:
+        inorder = inorder_marginal(dense.reshape(-1).tolist(), verts, targets)
+        assert np.array(inorder).tobytes() == want.tobytes()
+    return want
 
 
 def assert_streamed_bits(dag, cpts, targets, head_axes, group_axes):
@@ -196,7 +203,8 @@ def assert_streamed_bits(dag, cpts, targets, head_axes, group_axes):
 def head_and_group_axes(n_vertices):
     """Small head and group sizes run many groups on small graphs (up to 12
     vertices, to keep the number of groups down); 16 and 16 are the
-    module's own sizes, which stream only closures above 16 vertices."""
+    module's own sizes, which stream a closure of at most 16 vertices as
+    one group."""
     small = st.sampled_from([(4, 2), (0, 1), (3, 3), (6, 4)])
     return st.one_of(small, st.just((16, 16))) if n_vertices <= 12 else st.just((16, 16))
 
@@ -255,6 +263,38 @@ def test_streamed_marginal_on_soundness_closures(soundness_closures, n_vars):
         tracemalloc.stop()
     # the dense joint alone is 16 MB on 21 vertices and 32 MB on 22
     assert peak < 2 * 2 ** 20
+
+
+def test_closure_margins_take_one_route_each(monkeypatch):
+    # the probe closure of the 6x6 diamond has 16 vertices, one block: a
+    # margin that drops a vertex streams it as one group and chains it, one
+    # that keeps every vertex is the whole fold, and neither calls bincount
+    dag = build_lattice_graph(DIAMOND, Window(0, 5, 0, 5))
+    cpts = markov.random_cpts(dag, 1)
+    targets = ("d(1,4)", "d(4,1)")
+    verts = tuple(sorted(markov.ancestral_closure(dag, targets)))
+    assert len(verts) == 16 and verts[-1] in targets
+    want = dense_joint(verts, cpts)
+    calls = []
+
+    def spy(name, original):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return record
+
+    for name in ("_joint_groups", "_tensor_joint", "_chain_blocks"):
+        monkeypatch.setattr(markov, name, spy(name, getattr(markov, name)))
+    monkeypatch.setattr(np, "bincount", spy("bincount", np.bincount))
+    margin = markov.target_marginal(dag, cpts, targets)
+    assert calls == ["_joint_groups", "_chain_blocks"]
+    # the last vertex is kept, so numpy's sum has the same bits
+    drop = tuple(i for i, v in enumerate(verts) if v not in targets)
+    assert margin.table.tobytes() == want.sum(axis=drop).tobytes()
+    calls.clear()
+    margin = markov.ancestral_margin(dag, cpts, targets)
+    assert calls == ["_tensor_joint"]
+    assert margin.table.tobytes() == want.tobytes()
 
 
 def test_each_margin_checks_its_closure_once(monkeypatch):

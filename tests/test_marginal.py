@@ -1,7 +1,10 @@
-"""The marginal kernel of seplat.markov against two references: an exactly
-rounded sum (math.fsum per output atom), and numpy's multi-axis sum, which it
-matches bit for bit whenever the table's last variable is kept.  Tables above
-one block of atoms are chained a block at a time, with np.add.at."""
+"""The marginal kernel of seplat.markov against three references: an
+exactly rounded sum (math.fsum per output atom); an in-order sum in plain
+Python floats (conftest.inorder_marginal), which it matches bit for bit on
+tables of at most 2^12 atoms, whatever they keep; and numpy's multi-axis
+sum, which it matches bit for bit whenever the table's last variable is
+kept.  Every table that drops a variable is chained a block at a time with
+np.add.at, a table of at most one block's atoms as one block."""
 
 import math
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from conftest import inorder_marginal
 from seplat import markov
 from seplat.cli import main
 from seplat.markov import Distribution
@@ -43,6 +47,11 @@ def numpy_marginal(d, keep):
     return np.transpose(summed, [kept.index(v) for v in sorted(keep)])
 
 
+def assert_inorder_bits(d, keep, m):
+    want = inorder_marginal(d.table.reshape(-1).tolist(), d.vars, keep)
+    assert m.table.tobytes() == np.array(want).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(marginal_cases())
 def test_marginal_kernel_matches_references(case):
@@ -50,6 +59,8 @@ def test_marginal_kernel_matches_references(case):
     m = d.marginal(keep)
     assert m.vars == tuple(sorted(keep))
     assert np.allclose(m.table, fsum_marginal(d, keep), rtol=1e-10, atol=0.0)
+    if d.table.size <= 2 ** 12:
+        assert_inorder_bits(d, keep, m)
     if d.vars[-1] in keep:
         assert m.table.tobytes() == numpy_marginal(d, keep).tobytes()
 
@@ -65,6 +76,7 @@ def test_marginal_chains_many_small_read_only_blocks(case, block_axes):
         mp.setattr(markov, "_BLOCK_AXES", block_axes)
         m = d.marginal(keep)
     assert np.allclose(m.table, fsum_marginal(d, keep), rtol=1e-10, atol=0.0)
+    assert_inorder_bits(d, keep, m)
     if d.vars[-1] in keep:
         assert m.table.tobytes() == numpy_marginal(d, keep).tobytes()
 
