@@ -344,14 +344,25 @@ def _cpt_steps(verts: tuple[str, ...], cpts: CptSet) -> list[tuple]:
              (1.0 - cpts.tables[v].p1, cpts.tables[v].p1)) for v in verts]
 
 
-def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
-    """Dense joint over verts, which must be sorted, one axis per vertex.
+def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
+                  lead: int) -> Iterable[np.ndarray]:
+    """The joint over verts, which must be sorted, in C order, one flat
+    group at a time: a group is the table over the trailing axes for one
+    assignment of the leading lead axes.  With lead 0 the single group is
+    the whole joint.
 
     Every atom is 1.0 * f_1 * f_2 * ... * f_n, multiplied left to right with
     the CPT factors in sorted-vertex order: the bits of np.ones((2,)*n)
     multiplied by each broadcast factor in turn.  The factors are folded
     into a table whose scope grows; a vertex no factor has reached yet is a
-    size-1 axis, so step k costs 2^|scope_k| atoms, not 2^n.
+    size-1 axis, so step k costs 2^|scope_k| atoms, not 2^n.  The longest
+    prefix of the steps whose scope stays within _HEAD_AXES axes is folded
+    once, into the head; with lead 0 every step is, and the head is the
+    group, so no head is held beside the group's last step.  Each group
+    continues the fold from its row of the head (the head at the group's
+    values), with the other CPTs sliced at the group's values of their
+    parents; a vertex among the leading axes multiplies by its factor at its
+    value.  No table is larger than the head or one group.
 
     When the vertex is new and follows every axis of the scope, and its
     parents are in the scope (every step of a topological order, such as
@@ -360,36 +371,16 @@ def _tensor_joint(verts: tuple[str, ...], cpts: CptSet) -> np.ndarray:
     the old table and a factor block expanded over its last 9 axes, so the
     inner loop runs over 2^9 atoms; the halves are stride-2 views of the
     new table.  Peak memory is then the old table plus the new one, 1.5
-    times the final table, plus factor blocks of 2^(9 + parents) atoms.
-    Any other step (a parent outside the scope, which an order that is not
+    times the group, plus factor blocks of 2^(9 + parents) atoms.  Any
+    other step (a parent outside the scope, which an order that is not
     topological allows: box latents sort after their children) is a
     broadcast product, done in place when the scope does not grow.
-    _closure_marginal folds this table whole only when it keeps every
-    vertex; a margin that drops one streams _joint_groups, which takes the
-    same steps.
-    """
-    return _fold(np.ones((1,) * len(verts)), _cpt_steps(verts, cpts))
-
-
-def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
-                  lead: int) -> Iterable[np.ndarray]:
-    """The atoms of _tensor_joint(verts, cpts), bit for bit, in C order,
-    one group at a time: a group is the flat table over the trailing axes
-    for one assignment of the leading lead axes.
-
-    The longest prefix of the steps whose scope stays within _HEAD_AXES
-    axes is folded once, into the head.  Each group continues the fold from
-    its row of the head (the head at the group's values), with the other
-    CPTs sliced at the group's values of their parents; a vertex among the
-    leading axes multiplies by its factor at its value.  Every atom is the
-    same product in the same order as in _tensor_joint, and no table is
-    larger than the head or one group.
     """
     steps = _cpt_steps(verts, cpts)
     scope: set[int] = set()
     for h, (axis, parents, _halves) in enumerate(steps):
         scope |= {axis, *parents}
-        if len(scope) > _HEAD_AXES:
+        if lead and len(scope) > _HEAD_AXES:
             break
     else:
         h = len(steps)
@@ -405,9 +396,9 @@ def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
                 tail.append((None, free, (halves[fixed[axis]],)))
             else:
                 tail.append((axis - lead, free, halves))
-        # a copy of the row: the fold may multiply its table in place
+        # the fold may multiply its table in place, and a later group reads the head
         row = head[tuple(x if size == 2 else 0 for x, size in zip(fixed, head.shape))]
-        yield _fold(row.copy(), tail).reshape(-1)
+        yield _fold(row.copy() if lead else row, tail).reshape(-1)
 
 
 def ancestral_closure(dag: MixedGraph, targets: Iterable[str],
@@ -445,16 +436,16 @@ def _checked_closure(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
 def _closure_marginal(verts: tuple[str, ...], cpts: CptSet,
                       keep: Iterable[str]) -> Distribution:
     """Exact marginal over keep of the joint of verts, a closure from
-    _checked_closure.  When keep is all of verts the whole fold is the
-    answer (streaming it would be 4-5 times slower above 16 vertices).
-    Otherwise the joint comes in groups (see _joint_groups), one group when
-    there are at most _BLOCK_AXES vertices, each chained into the output by
-    _chain_blocks as one block: every other vertex, latent or not, is
-    summed out in that one pass, and scratch memory is a few 2^16-atom
-    arrays whatever the budget."""
+    _checked_closure, folded by _joint_groups.  When keep is all of verts
+    the joint is the answer, folded as one group (streaming it would be 4-5
+    times slower above 16 vertices).  Otherwise the joint comes in groups,
+    one when there are at most _BLOCK_AXES vertices, each chained into the
+    output by _chain_blocks as one block: every other vertex, latent or
+    not, is summed out in that one pass, and scratch memory is a few
+    2^16-atom arrays whatever the budget."""
     keep = sorted(keep)
     if len(keep) == len(verts):
-        table = _tensor_joint(verts, cpts)
+        table = next(_joint_groups(verts, cpts, 0))
     else:
         lead = max(0, len(verts) - _BLOCK_AXES)
         table = _chain_blocks(_joint_groups(verts, cpts, lead), _axis_weights(verts, keep))
@@ -472,7 +463,7 @@ def ancestral_margin(dag: MixedGraph, cpts: CptSet, targets: Iterable[str],
     """Exact joint of the ancestral closure of the targets, latents
     included.  Vertices outside the closure are barren and never
     enumerated, which keeps large lattice graphs within the budget.  The
-    table is the whole fold of _tensor_joint: on a topological order its
+    table is the single group of _joint_groups: on a topological order its
     peak memory is 1.5 times the table."""
     verts = _checked_closure(dag, cpts, targets, budget)
     return _closure_marginal(verts, cpts, verts)

@@ -1,9 +1,10 @@
 """The joint kernel of seplat.markov against the dense product it replaced:
 np.ones((2,)*n) multiplied by each broadcast CPT factor in sorted-vertex
-order.  The fold must give the same bits on every atom, and on a topological
-label order its peak memory must stay near the old table plus the new one,
-and on box latents, which sort after their children, the in-place step
-must keep it there too.  The streamed marginal, target_marginal, must give
+order.  The one fold, markov._joint_groups, must give the same bits on every
+atom.  As a single group (the joint of ancestral_margin and joint) its peak
+memory on a topological label order must stay near the old table plus the
+new one, and on box latents, which sort after their children, the in-place
+step must keep it there too.  The streamed marginal, target_marginal, must give
 the bits of the marginal kernel over that dense product without ever
 holding it, and on closures of at most 12 vertices the bits of an in-order
 sum that shares no code with the kernel (conftest.inorder_marginal)."""
@@ -38,10 +39,10 @@ def dense_joint(verts, cpts):
 
 def assert_same_bits(dag, cpts):
     verts = tuple(sorted(dag.vertices))
-    got = markov._tensor_joint(verts, cpts)
+    got = markov.joint(dag, cpts)
     want = dense_joint(verts, cpts)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.vars == verts and got.table.shape == want.shape
+    assert got.table.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,7 +103,7 @@ def test_box_latents_multiply_in_place():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = markov._tensor_joint(verts, cpts)
+        table = next(markov._joint_groups(verts, cpts, 0))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -156,8 +157,8 @@ def test_fold_matches_dense_on_soundness_margins(soundness_closures, n_vars):
     verts = tuple(sorted(closures[trial]))
     cpts = markov.random_cpts(dag, trial)
     want = dense_joint(verts, cpts).tobytes()
-    assert markov._tensor_joint(verts, cpts).tobytes() == want
-    # a margin that keeps the whole closure is folded whole, not streamed
+    assert next(markov._joint_groups(verts, cpts, 0)).tobytes() == want
+    # a margin that keeps the whole closure is folded as one group
     margin = markov.ancestral_margin(dag, cpts, closures[trial])
     assert margin.vars == verts and margin.table.tobytes() == want
 
@@ -268,33 +269,72 @@ def test_streamed_marginal_on_soundness_closures(soundness_closures, n_vars):
 def test_closure_margins_take_one_route_each(monkeypatch):
     # the probe closure of the 6x6 diamond has 16 vertices, one block: a
     # margin that drops a vertex streams it as one group and chains it, one
-    # that keeps every vertex is the whole fold, and neither calls bincount
+    # that keeps every vertex is that one group, and neither calls bincount
     dag = build_lattice_graph(DIAMOND, Window(0, 5, 0, 5))
     cpts = markov.random_cpts(dag, 1)
     targets = ("d(1,4)", "d(4,1)")
     verts = tuple(sorted(markov.ancestral_closure(dag, targets)))
     assert len(verts) == 16 and verts[-1] in targets
     want = dense_joint(verts, cpts)
-    calls = []
+    calls, leads = [], []
 
     def spy(name, original):
         def record(*args, **kwargs):
             calls.append(name)
+            if name == "_joint_groups":
+                leads.append(args[2])
             return original(*args, **kwargs)
         return record
 
-    for name in ("_joint_groups", "_tensor_joint", "_chain_blocks"):
+    for name in ("_joint_groups", "_chain_blocks"):
         monkeypatch.setattr(markov, name, spy(name, getattr(markov, name)))
     monkeypatch.setattr(np, "bincount", spy("bincount", np.bincount))
     margin = markov.target_marginal(dag, cpts, targets)
-    assert calls == ["_joint_groups", "_chain_blocks"]
+    assert calls == ["_joint_groups", "_chain_blocks"] and leads == [0]
     # the last vertex is kept, so numpy's sum has the same bits
     drop = tuple(i for i, v in enumerate(verts) if v not in targets)
     assert margin.table.tobytes() == want.sum(axis=drop).tobytes()
     calls.clear()
     margin = markov.ancestral_margin(dag, cpts, targets)
-    assert calls == ["_tensor_joint"]
+    assert calls == ["_joint_groups"] and leads == [0, 0]
     assert margin.table.tobytes() == want.tobytes()
+
+
+def test_single_group_is_not_copied():
+    # the 16-vertex probe closure of the 6x6 diamond streams as one group,
+    # the head folded on in place, at a peak of 2.65 times the 512 KB
+    # table; a copy of the head puts it at 3.0 times
+    dag = build_lattice_graph(DIAMOND, Window(0, 5, 0, 5))
+    cpts = markov.random_cpts(dag, 1)
+    targets = ("d(1,4)", "d(4,1)")
+    table_bytes = markov.ancestral_margin(dag, cpts, targets).table.nbytes
+    assert table_bytes == 2 ** 16 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        markov.target_marginal(dag, cpts, targets)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.85 * table_bytes
+
+
+def test_single_group_holds_no_head_beside_its_last_step():
+    # an 18-vertex joint in topological label order: the last step holds the
+    # 1 MB old table and the 2 MB new one, and a 512 KB head of 16 axes held
+    # beside them would put the peak at 1.79 times the table
+    verts = [f"v{i:02d}" for i in range(18)]
+    dag = build_graph(verts, list(zip(verts, verts[1:])) + list(zip(verts, verts[2:])))
+    cpts = markov.random_cpts(dag, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = markov.joint(dag, cpts).table
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == dense_joint(tuple(verts), cpts).tobytes()
+    assert peak < 1.6 * table.nbytes
 
 
 def test_each_margin_checks_its_closure_once(monkeypatch):
