@@ -54,6 +54,7 @@ from .separation import (
     SeparationQuery,
     SeparationVerdict,
     is_separated,
+    is_separated_each,
     is_separated_oracle,
     minimal_separator,
     path_is_connecting,

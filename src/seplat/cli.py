@@ -21,6 +21,7 @@ from .graph import (
     format_path,
     graph_from_json_dict,
     graph_to_json_dict,
+    split_labels,
 )
 from .separation import (
     SeparationQuery,
@@ -116,12 +117,6 @@ def _load_graph(path: str) -> tuple[MixedGraph, str, lat.Window | None]:
     return g, kind, window
 
 
-def _parse_label_set(literal: str | None) -> frozenset[str]:
-    if not literal:
-        return frozenset()
-    return frozenset(p for p in literal.split("+") if p)
-
-
 def _require_lattice(kind: str, window: lat.Window | None) -> lat.Window:
     if kind == "abstract" or window is None:
         raise ValueError("this command needs a lattice graph with a window")
@@ -146,7 +141,7 @@ def _cmd_lattice_gen(args) -> int:
 
 def _cmd_sep_check(args) -> int:
     g, _kind, _window = _load_graph(args.graph)
-    q = SeparationQuery(args.a, args.b, _parse_label_set(args.c))
+    q = SeparationQuery(args.a, args.b, frozenset(split_labels(args.c)))
     verdict = is_separated_oracle(g, q) if args.oracle else is_separated(g, q)
     payload = {"separated": verdict.separated,
                "witness": format_path(verdict.witness) if verdict.witness else None}
@@ -255,7 +250,7 @@ def _cmd_mc_witness(args) -> int:
     from . import markov as mk
 
     g, _kind, _window = _load_graph(args.graph)
-    found = mk.find_dependence_witness(g, args.a, args.b, _parse_label_set(args.c),
+    found = mk.find_dependence_witness(g, args.a, args.b, frozenset(split_labels(args.c)),
                                        args.attempts, args.threshold, args.seed)
     if found is None:
         _emit({"found": False})

@@ -406,6 +406,20 @@ def simple_paths(g: MixedGraph, a: str, b: str, max_len: int) -> Iterator[Path]:
     yield from walk(a)
 
 
+def split_labels(literal: str) -> tuple[str, ...]:
+    """The labels of a '+'-joined list such as "a+b+c", in order; the empty
+    string is the empty list.  ValueError for an empty or repeated label."""
+    if not literal:
+        return ()
+    labels = tuple(literal.split("+"))
+    if "" in labels:
+        raise ValueError(f"empty label in {literal!r}")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"label {label!r} repeated in {literal!r}")
+    return labels
+
+
 def graph_to_json_dict(g: MixedGraph, kind: str = "abstract",
                        window: dict | None = None) -> dict:
     """Canonical JSON document for a graph (arrays sorted lexicographically)."""

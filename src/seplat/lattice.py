@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph, flood
-from .separation import SeparationQuery, is_separated
+from .separation import is_separated_each
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -170,11 +170,12 @@ class Region:
 
 
 def parse_region(literal: str) -> Region:
-    """Parse a '+'-joined region literal such as "d(0,3)+d(0,4)+d(1,3)"."""
-    parts = [p for p in literal.split("+") if p]
-    if not parts:
+    """Parse a '+'-joined region literal such as "d(0,3)+d(0,4)+d(1,3)".
+    A literal of no label is an UnknownCell; one with an empty or repeated
+    label among others is a ValueError (graph.split_labels)."""
+    if not literal.strip("+"):
         raise UnknownCell("empty region literal")
-    return Region.of(parse_cell(p) for p in parts)
+    return Region.of(parse_cell(p) for p in graph_mod.split_labels(literal))
 
 
 @dataclass(frozen=True)
@@ -488,6 +489,8 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
                 lattice_graph: MixedGraph | None = None) -> Prop1Report:
     """Full candidate sweep joining geometric verdicts with separation.
 
+    One is_separated_each call decides every candidate and builds the
+    witness of each connected one, the same as is_separated per candidate.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -496,10 +499,8 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     g = lattice_graph if lattice_graph is not None else build_graph(kind, window)
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
-    rows = []
-    for labels, l1, l2, l3 in shielding_sweep(cell_a, cell_b, window, variant,
-                                              max_cells, budget):
-        sep = is_separated(g, SeparationQuery(a, b, frozenset(labels)))
-        rows.append(Prop1Row(labels, l1, l2, l3, l1 and l2 and l3,
-                             sep.separated, sep.witness))
-    return Prop1Report(variant, rows)
+    sweep = list(shielding_sweep(cell_a, cell_b, window, variant, max_cells, budget))
+    verdicts = is_separated_each(g, a, b, [labels for labels, *_ in sweep])
+    return Prop1Report(variant, [
+        Prop1Row(labels, l1, l2, l3, l1 and l2 and l3, sep.separated, sep.witness)
+        for (labels, l1, l2, l3), sep in zip(sweep, verdicts)])

@@ -1,16 +1,20 @@
 """d-separation and m-separation queries on mixed acyclic graphs.
 
-Two decision routes share no code:
+Three decision routes:
 
 * is_separated_oracle -- the ground truth.  It tests every simple path
   against the blocking criterion (a non-collider in the conditioning set
   blocks; a collider blocks unless it is in the conditioning set's
   inclusive ancestor closure, i.e. it or one of its descendants is
-  conditioned on).
-* is_separated -- the fast route.  A vertex cut decides every query whose
-  conditioning set lies within An({a, b}), the inclusive ancestors of the
-  endpoints.  A breadth-first search builds the witness of a connected
-  query, and decides the queries the cut does not cover.
+  conditioned on).  It shares no code with the other two.
+* is_separated -- the fast route for one query.  A vertex cut decides
+  every query whose conditioning set lies within An({a, b}), the
+  inclusive ancestors of the endpoints.  A breadth-first search builds the
+  witness of a connected query, and decides the queries the cut does not
+  cover.
+* is_separated_each -- the route for many conditioning sets of one pair,
+  as a sweep asks.  One bit-parallel search decides them all and returns
+  what is_separated returns for each, witness included.
 
 The cut.  Z m-separates a and b iff Z separates them in the augmented
 graph of An({a, b} | Z) (Richardson 2003; on DAGs the moral graph of
@@ -40,6 +44,26 @@ v -> x and returns along v -> y, so it holds a collider below v; that
 collider is open, so v is an ancestor of cond.  The FIFO reaches b first
 along a shortest active walk, so its witness is a simple path.
 
+The witness.  Order walks from a by (length, then lexicographically by the
+position of each move in incident() order).  The search's witness is the
+first active walk to b in that order.  By induction on the level: each
+state's prev chain is the first shortest walk to it, and the FIFO dequeues
+a level in the order of these walks, since it appends a state when the
+first state of the level before that has a move to it, at that move's
+position.  So the goal's chain extends the first walk of the last level
+with a move to b by its first such move.
+
+The batch.  is_separated_each runs that search for every conditioning set
+at once: bit c of every word stands for the c-th set, and the words of a
+state record which sets reach it at which level.  A forward pass finds, per
+set, the level at which b is first reached; a backward pass keeps the
+states that lie on a shortest active walk to b; a forward decode takes, at
+each state, the first allowed move onto a kept state.  That is the first
+walk in the order above, so the batch returns the search's witness bit for
+bit, and each distinct witness is built once as a shared Path.  Its cost is
+paid per state and move, not per set: on a few sets, is_separated is the
+faster route.
+
 A collider is an interior path vertex receiving arrowheads from both
 neighbors; bidirected edge ends count as arrowheads.
 """
@@ -60,6 +84,7 @@ from .graph import (
     augmented_masks,
     flood,
     relatives,
+    topological_order,
 )
 
 @dataclass(frozen=True)
@@ -72,10 +97,14 @@ class SeparationQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cond", frozenset(self.cond))
-        if self.a == self.b:
-            raise ValueError("query endpoints must differ")
-        if self.a in self.cond or self.b in self.cond:
-            raise ValueError("query endpoints may not be conditioned on")
+        _check_query(self.a, self.b, self.cond)
+
+
+def _check_query(a: str, b: str, cond: frozenset[str]) -> None:
+    if a == b:
+        raise ValueError("query endpoints must differ")
+    if a in cond or b in cond:
+        raise ValueError("query endpoints may not be conditioned on")
 
 
 @dataclass(frozen=True)
@@ -279,6 +308,133 @@ def _search(g: MixedGraph, q: SeparationQuery, a: int, b: int,
         raise RuntimeError("internal invariant violation: witness walk is not "
                            "a connecting simple path")
     return Path(tuple(verts), tuple(kinds))
+
+
+def is_separated_each(g: MixedGraph, a: str, b: str,
+                      conds: Iterable[Iterable[str]]) -> list[SeparationVerdict]:
+    """[is_separated(g, SeparationQuery(a, b, c)) for c in conds] by one
+    bit-parallel search (module docstring): the same verdicts, witnesses
+    and exceptions.
+
+    Bit c of every word stands for conds[c]: in_cond[v] holds the sets
+    with v in them and in_anc[v] those with v in their inclusive ancestor
+    closure.  The search's rule becomes one word per move: a move out of v
+    is allowed for the sets without v, except that after entry through a
+    head, a move whose edge also has a head at v, making v a collider, is
+    allowed for in_anc[v].
+    """
+    index, adjacency = g.index, g.adjacency
+    members: list[list[int]] = [[] for _ in adjacency]
+    n = 0
+    for c in conds:
+        cond = frozenset(c)
+        _check_query(a, b, cond)
+        try:
+            start, goal = 2 * index[a], index[b]
+            for v in cond:
+                members[index[v]].append(n)
+        except KeyError as exc:
+            raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
+        n += 1
+    if not n:
+        return []
+
+    every = (1 << n) - 1
+    nbytes = (n + 7) >> 3
+    in_cond = [0] * len(adjacency)
+    for v, rows in enumerate(members):
+        if rows:
+            buf = bytearray(nbytes)
+            for r in rows:
+                buf[r >> 3] |= 1 << (r & 7)
+            in_cond[v] = int.from_bytes(buf, "little")
+    # open colliders: a vertex is open for cond iff it or a descendant is in it
+    in_anc = in_cond[:]
+    for label in reversed(topological_order(g)):
+        v = index[label]
+        for (_nxt, w, _kind) in adjacency[v][2]:  # the edges v -> w
+            in_anc[v] |= in_anc[w]
+    # moves[state]: (next state, neighbour, edge kind, the sets that may take
+    # the move), in incident() order
+    moves = []
+    for v, (out, _head_here, _tail_here) in enumerate(adjacency):
+        passes = every ^ in_cond[v]
+        moves.append(tuple((nxt, w, kind, passes) for (nxt, w, kind) in out))
+        moves.append(tuple((nxt, w, kind, passes if kind == DIR_FORWARD else in_anc[v])
+                           for (nxt, w, kind) in out))
+
+    # forward: levels[k][state] = the sets that first reach state by a walk
+    # of length k; hits[k] = those whose first walk to b has length k
+    seen = [0] * len(moves)
+    seen[start] = every
+    levels = [{start: every}]
+    hits = [0]
+    pending = every
+    while levels[-1]:
+        reached: dict[int, int] = {}
+        for state, word in levels[-1].items():
+            for (nxt, _w, _kind, allowed) in moves[state]:
+                x = word & allowed & ~seen[nxt]
+                if x:
+                    reached[nxt] = reached.get(nxt, 0) | x
+        for nxt, x in reached.items():
+            seen[nxt] |= x
+        hit = reached.pop(2 * goal, 0) | reached.pop(2 * goal + 1, 0)
+        hits.append(hit)
+        pending ^= hit
+        levels.append({s: x & pending for s, x in reached.items() if x & pending})
+
+    # backward: levels[k][state] becomes the sets for which the state lies on
+    # a shortest active walk to b
+    for k in range(len(levels) - 2, -1, -1):
+        marked, hit = levels[k + 1], hits[k + 1]
+        for state, word in levels[k].items():
+            on = 0
+            for (nxt, w, _kind, allowed) in moves[state]:
+                on |= allowed & (hit if w == goal else marked.get(nxt, 0))
+            levels[k][state] = word & on
+
+    # decode: follow each set's first allowed move onto a marked state
+    verdicts = [SeparationVerdict(True, None)] * n
+    labels = g.vertices
+    frontier = [(start, every ^ pending, (start >> 1,), ())]
+    for k in range(len(levels) - 1):
+        marked, hit = levels[k + 1], hits[k + 1]
+        step = []
+        for state, word, verts, kinds in frontier:
+            for (nxt, w, kind, allowed) in moves[state]:
+                x = word & allowed & (hit if w == goal else marked.get(nxt, 0))
+                if not x:
+                    continue
+                word ^= x
+                if w == goal:
+                    path = _checked_witness(labels, verts + (w,), kinds + (kind,),
+                                            x, in_cond, in_anc)
+                    verdict = SeparationVerdict(False, path)
+                    bits = format(x, "b")[::-1]
+                    r = bits.find("1")
+                    while r >= 0:
+                        verdicts[r] = verdict
+                        r = bits.find("1", r + 1)
+                else:
+                    step.append((nxt, x, verts + (w,), kinds + (kind,)))
+        frontier = step
+    return verdicts
+
+
+def _checked_witness(labels, verts, kinds, word, in_cond, in_anc) -> Path:
+    """The Path of a decoded walk, checked by _connecting's rule for every
+    candidate of word: an interior non-collider outside cond, an interior
+    collider in An(cond)."""
+    for i in range(1, len(verts) - 1):
+        collider = kinds[i - 1] != DIR_BACKWARD and kinds[i] != DIR_FORWARD
+        if word & (~in_anc[verts[i]] if collider else in_cond[verts[i]]):
+            break
+    else:
+        if len(set(verts)) == len(verts):
+            return Path(tuple(labels[v] for v in verts), kinds)
+    raise RuntimeError("internal invariant violation: witness walk is not "
+                       "a connecting simple path")
 
 
 def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str]) -> bool:

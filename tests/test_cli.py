@@ -238,6 +238,26 @@ def test_non_canonical_cell_labels_exit_2(diamond_file, capsys, argv):
     assert "bad cell label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sep", "check", "--a", A, "--b", B, "--c", "d(0,2)++d(0,3)"],
+    ["sep", "check", "--a", A, "--b", B, "--c", "d(0,3)+d(0,4)+d(0,3)"],
+    ["mc", "witness", "--a", A, "--b", B, "--c", "+d(0,0)+d(0,1)+d(1,0)"],
+    ["shield", "check", "--a", A, "--b", B, "--region", "d(0,2)+d(0,3)+d(1,2)+"],
+    ["shield", "check", "--a", A, "--b", B, "--region", "d(0,3)+d(0,3)"],
+], ids=["sep_empty", "sep_repeated", "mc_leading", "shield_trailing", "shield_repeated"])
+def test_malformed_label_lists_exit_2(diamond_file, capsys, argv):
+    assert main(argv[:2] + ["--graph", str(diamond_file)] + argv[2:]) == 2
+    err = capsys.readouterr().err
+    assert "empty label" in err or "repeated" in err
+
+
+def test_empty_cond_literal_is_the_empty_set(diamond_file, capsys):
+    argv = ["sep", "check", "--graph", str(diamond_file), "--a", A, "--b", B]
+    assert main(argv + ["--c", ""]) == main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == out[1]
+
+
 def test_main_calls_share_no_options(diamond_file, capsys):
     # d(1,1) covers the common past (L3C) but lies in the past of B (not L3Q)
     argv = ["shield", "check", "--graph", str(diamond_file), "--a", A, "--b", B,

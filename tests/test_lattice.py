@@ -73,6 +73,13 @@ def test_parse_cell_rejects_non_canonical_labels(label):
         parse_region(f"d(0,4)+{label}")
 
 
+@pytest.mark.parametrize("literal", ["d(0,3)++d(0,4)", "+d(0,3)", "d(0,3)+",
+                                     "d(0,3)+d(0,4)+d(0,3)"])
+def test_parse_region_rejects_empty_and_repeated_labels(literal):
+    with pytest.raises(ValueError, match="empty label|repeated"):
+        parse_region(literal)
+
+
 def test_causal_relation_diamond():
     assert causal_relation(d(0, 1), d(1, 0)) == SPACELIKE
     assert causal_relation(d(0, 1), d(1, 1)) == PAST_OF_B  # null corner contact

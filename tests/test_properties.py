@@ -1,5 +1,6 @@
 """Property-based checks over random mixed acyclic graphs."""
 
+import random
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -18,11 +19,14 @@ from seplat.graph import (
     simple_paths,
     topological_order,
 )
+from seplat.errors import UnknownVertex
 from seplat.markov import latent_expansion
+from seplat.random_graphs import random_mixed_graph
 from seplat.separation import (
     SeparationQuery,
     SeparationVerdict,
     is_separated,
+    is_separated_each,
     is_separated_oracle,
     minimal_separator,
     path_is_connecting,
@@ -134,6 +138,47 @@ def test_cut_matches_oracle_and_search(gq):
     witness = separation._search(g, q, g.index[q.a], g.index[q.b], cond_mask)
     assert cut == is_separated_oracle(g, q).separated == (witness is None)
     assert is_separated(g, q) == SeparationVerdict(cut, witness)
+
+
+@st.composite
+def pair_and_conds(draw):
+    """A random_mixed_graph, an ordered vertex pair and a list of 1 to 130
+    conditioning sets, a length on either side of a byte or a word of
+    candidates.  One set is empty; the others are random sets of the other
+    vertices, so many leave An({a, b})."""
+    g = random_mixed_graph(draw(st.integers(2, 12)), draw(st.sampled_from((0.2, 0.35, 0.5))),
+                           draw(st.integers(0, 10_000)))
+    a, b = draw(st.sampled_from([(x, y) for x in g.vertices for y in g.vertices
+                                 if x != y]))
+    rest = sorted(set(g.vertices) - {a, b})
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    conds = [frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+             for _ in range(draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 130))))]
+    conds[rng.randrange(len(conds))] = frozenset()
+    return g, a, b, conds
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (UnknownVertex, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(pair_and_conds())
+def test_batch_route_matches_each_query(pac):
+    g, a, b, conds = pac
+    want = [is_separated(g, SeparationQuery(a, b, c)) for c in conds]
+    assert is_separated_each(g, a, b, conds) == want
+    # a bad set anywhere in the list raises as the query of its own row does
+    rng = random.Random(len(conds))
+    for bad in ("nowhere", a, b):
+        spoilt = conds[:]
+        spoilt.insert(rng.randrange(len(conds) + 1), conds[0] | {bad})
+        each = _outcome(lambda: [is_separated(g, SeparationQuery(a, b, c)) for c in spoilt])
+        assert isinstance(each, tuple)
+        assert _outcome(lambda: is_separated_each(g, a, b, spoilt)) == each
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from seplat.markov import latent_expansion
 from seplat.random_graphs import random_mixed_graph
 from seplat.separation import (
     SeparationQuery,
+    SeparationVerdict,
     is_separated,
     is_separated_oracle,
     minimal_separator,
@@ -207,21 +208,27 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
         assert len(counted) == calls == len(counted[0].cond) + 1
 
 
-def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
-    # criterion 13's sweep: every region lies within An({a, b}), so the
-    # vertex cut decides each row and the search runs once per connected row
-    search, searched = separation._search, []
+def test_sweep_calls_neither_is_separated_nor_search(diamond6, monkeypatch):
+    # criterion 13's sweep is one is_separated_each call: no row goes
+    # through the per-query route, yet each row equals its verdict
+    calls = []
 
-    def spy(g, q, a, b, cond_mask):
-        searched.append(q.cond)
-        return search(g, q, a, b, cond_mask)
+    def spy(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(separation, "_search", spy)
+    for name in ("is_separated", "_search"):
+        monkeypatch.setattr(separation, name, spy(getattr(separation, name)))
     rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
                       Cell(DIAMOND, 5, 2), L3C, max_cells=5, lattice_graph=diamond6)
-    connected = [frozenset(r.region) for r in rep.rows if not r.separated]
-    assert (rep.total, len(connected)) == (9401, 8775)
-    assert searched == connected
+    monkeypatch.undo()
+    assert (rep.total, sum(not r.separated for r in rep.rows)) == (9401, 8775)
+    assert calls == []
+    for r in rep.rows:
+        q = SeparationQuery("d(2,5)", "d(5,2)", frozenset(r.region))
+        assert is_separated(diamond6, q) == SeparationVerdict(r.separated, r.witness)
 
 
 def test_cut_memo_follows_the_probe_pair(diamond6):
