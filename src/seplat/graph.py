@@ -414,9 +414,8 @@ def split_labels(literal: str) -> tuple[str, ...]:
     labels = tuple(literal.split("+"))
     if "" in labels:
         raise ValueError(f"empty label in {literal!r}")
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValueError(f"label {label!r} repeated in {literal!r}")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"repeated label in {literal!r}")
     return labels
 
 

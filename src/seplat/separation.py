@@ -424,8 +424,8 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
 
 def _checked_witness(labels, verts, kinds, word, in_cond, in_anc) -> Path:
     """The Path of a decoded walk, checked by _connecting's rule for every
-    candidate of word: an interior non-collider outside cond, an interior
-    collider in An(cond)."""
+    set in word: each interior non-collider outside the set, each interior
+    collider in its inclusive ancestor closure."""
     for i in range(1, len(verts) - 1):
         collider = kinds[i - 1] != DIR_BACKWARD and kinds[i] != DIR_FORWARD
         if word & (~in_anc[verts[i]] if collider else in_cond[verts[i]]):

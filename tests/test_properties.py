@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from seplat import separation
+from seplat.errors import UnknownVertex
 from seplat.graph import (
     ANCESTORS,
     ANCESTORS_INCLUSIVE,
@@ -19,7 +20,6 @@ from seplat.graph import (
     simple_paths,
     topological_order,
 )
-from seplat.errors import UnknownVertex
 from seplat.markov import latent_expansion
 from seplat.random_graphs import random_mixed_graph
 from seplat.separation import (
