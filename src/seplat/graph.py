@@ -134,8 +134,9 @@ class MixedGraph:
             sum(1 << index[s] for s in spouses[v]) for v in vertices)
         # one-entry memo of augmented_masks: (keep, masks) of the last call
         self._augmented: tuple[int, tuple[int, ...]] | None = None
-        # (a, b, {cond: verdict}) inside a separation.batched block
-        self.batch: tuple[str, str, dict] | None = None
+        # (a, b, {cond mask: verdict}) inside a separation.batched block,
+        # with a, b vertex indices
+        self.batch: tuple[int, int, dict] | None = None
 
     def __contains__(self, label: str) -> bool:
         return label in self._parents

@@ -501,11 +501,10 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
     sweep = list(shielding_sweep(cell_a, cell_b, window, variant, max_cells, budget))
-    conds = [frozenset(labels) for labels, *_ in sweep]
     rows = []
-    with batched(g, a, b, conds):
-        for (labels, l1, l2, l3), cond in zip(sweep, conds):
-            sep = is_separated(g, SeparationQuery(a, b, cond))
+    with batched(g, a, b, [labels for labels, *_ in sweep]):
+        for labels, l1, l2, l3 in sweep:
+            sep = is_separated(g, SeparationQuery(a, b, frozenset(labels)))
             rows.append(Prop1Row(labels, l1, l2, l3, l1 and l2 and l3,
                                  sep.separated, sep.witness))
     return Prop1Report(variant, rows)

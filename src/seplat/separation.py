@@ -17,7 +17,8 @@ Three decision routes:
   what is_separated returns for each, witness included.  Inside a
   batched(g, a, b, conds) block, is_separated answers each of those
   queries from one such call, so a sweep still asks is_separated row by
-  row (perfbench's tracer counts those calls) at the batch's cost.
+  row, where perfbench's tracer counts the calls and its self-test flips
+  a verdict, and no row runs a search of its own.
 
 The cut.  Z m-separates a and b iff Z separates them in the augmented
 graph of An({a, b} | Z) (Richardson 2003; on DAGs the moral graph of
@@ -220,11 +221,6 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     is_separated_oracle on every input; the witness is deterministic.
     Inside batched(g, ...), a query it covers takes its verdict from there.
     """
-    batch = g.batch
-    if batch is not None and batch[0] == q.a and batch[1] == q.b:
-        verdict = batch[2].get(q.cond)
-        if verdict is not None:
-            return verdict
     index, anc = g.index, g.ancestor_masks
     try:
         a, b = index[q.a], index[q.b]
@@ -233,6 +229,11 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
             cond_mask |= 1 << index[v]
     except KeyError as exc:
         raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
+    batch = g.batch
+    if batch is not None and batch[0] == a and batch[1] == b:
+        verdict = batch[2].get(cond_mask)
+        if verdict is not None:
+            return verdict
     keep = anc[a] | anc[b]
     by_cut = not cond_mask & ~keep
     if by_cut and not flood(1 << a, augmented_masks(g, keep), cond_mask, 1 << b) >> b & 1:
@@ -434,11 +435,21 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
 
 @contextmanager
 def batched(g: MixedGraph, a: str, b: str,
-            conds: list[frozenset[str]]) -> Iterator[None]:
+            conds: list[tuple[str, ...]]) -> Iterator[None]:
     """Within the block, is_separated(g, SeparationQuery(a, b, c)) for c in
     conds returns the verdict of one is_separated_each call, which is the
-    verdict it would compute.  Raises what is_separated_each raises."""
-    g.batch = (a, b, dict(zip(conds, is_separated_each(g, a, b, conds))))
+    verdict it would compute.  Raises what is_separated_each raises.  The
+    verdicts are keyed by vertex mask: a frozenset per set would double a
+    large sweep's peak memory."""
+    verdicts = is_separated_each(g, a, b, conds)
+    index = g.index
+    held = {}
+    for c, verdict in zip(conds, verdicts):
+        mask = 0
+        for v in c:
+            mask |= 1 << index[v]
+        held[mask] = verdict
+    g.batch = (index[a], index[b], held)
     try:
         yield
     finally:

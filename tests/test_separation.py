@@ -255,7 +255,7 @@ def test_batched_answers_only_its_own_queries(collider_graph):
     # clears the graph's batch, also when the batch call raises
     g, none, c = collider_graph, frozenset(), frozenset({"c"})
     with separation.batched(g, "a", "b", [none]):
-        held = g.batch[2][none]
+        held = g.batch[2][0]
         assert is_separated(g, SeparationQuery("a", "b", none)) is held
         assert is_separated(g, SeparationQuery("a", "b", c)).witness is not None
         assert is_separated(g, SeparationQuery("b", "a", none)) is not held
