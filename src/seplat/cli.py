@@ -12,12 +12,13 @@ import csv
 import json
 import sys
 from functools import cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import lattice as lat
 from .errors import BudgetExceeded, SeparatedInput, SeplatError
 from .graph import (
     MixedGraph,
+    Path,
     format_path,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # seplat.markov, and numpy, load in the mc handlers only
 
 CSV_HEADER = ["candidate_set", "l1", "l2", "l3", "shielder_off", "separated", "witness"]
 MC_CSV_HEADER = ["query", "atoms_checked", "max_violation", "verdict"]
+_BOOL_TEXT = ("false", "true")  # a report's boolean column, indexed by the bool
 # window bounds of `lattice gen`: diamond imin..jmax, box kmin..mmax
 _BOUND_NAMES = ("imin", "imax", "jmin", "jmax", "kmin", "kmax", "mmin", "mmax")
 
@@ -47,12 +49,22 @@ def write_report(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def sweep_csv_rows(rows: Iterable[lat.Prop1Row]) -> Iterator[list[str]]:
+    """The sweep report lines of rows, in CSV_HEADER order.  Rows of one
+    sweep share their witness Paths, so each distinct one is formatted once."""
+    witness_text: dict[Path | None, str] = {None: "-"}
+    for r in rows:
+        text = witness_text.get(r.witness)
+        if text is None:
+            text = witness_text[r.witness] = format_path(r.witness)
+        yield ["+".join(r.region), _BOOL_TEXT[r.l1], _BOOL_TEXT[r.l2],
+               _BOOL_TEXT[r.l3], _BOOL_TEXT[r.shielder_off],
+               _BOOL_TEXT[r.separated], text]
+
+
 def sweep_csv_row(r: lat.Prop1Row) -> list[str]:
     """One sweep report line, in CSV_HEADER order."""
-    return ["+".join(r.region), str(r.l1).lower(), str(r.l2).lower(),
-            str(r.l3).lower(), str(r.shielder_off).lower(),
-            str(r.separated).lower(),
-            format_path(r.witness) if r.witness else "-"]
+    return next(sweep_csv_rows((r,)))
 
 
 def mc_query(a: str, b: str, cond: Sequence[str]) -> str:
@@ -191,12 +203,13 @@ def _cmd_prop1_verify(args) -> int:
     report = lat.prop1_sweep(kind, window, cell_a, cell_b, args.variant,
                              args.max_cells, args.budget, lattice_graph=g)
     if args.report:
-        write_report(args.report, CSV_HEADER, map(sweep_csv_row, report.rows))
+        write_report(args.report, CSV_HEADER, sweep_csv_rows(report.rows))
+    counterexamples = report.counterexamples
     _emit({"candidates": report.total,
            "shielder_off": report.shielder_off_count,
-           "counterexamples": [list(r.region) for r in report.counterexamples],
+           "counterexamples": [list(r.region) for r in counterexamples],
            "report": args.report})
-    return 0 if not report.counterexamples else 1
+    return 0 if not counterexamples else 1
 
 
 def _cmd_mc_soundness(args) -> int:

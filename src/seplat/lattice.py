@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
@@ -454,8 +454,9 @@ def canonical_probe_pair(kind: str, window: Window) -> tuple[Cell, Cell]:
     return a, b
 
 
-@dataclass(frozen=True)
-class Prop1Row:
+class Prop1Row(NamedTuple):
+    """One sweep row: a tuple, so a large sweep builds its rows cheaply."""
+
     region: tuple[str, ...]
     l1: bool
     l2: bool

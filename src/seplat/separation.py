@@ -74,8 +74,10 @@ neighbors; bidirected edge ends count as arrowheads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .errors import AdjacentVertices, InvalidPath, UnknownVertex
@@ -101,7 +103,8 @@ class SeparationQuery:
     cond: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cond", frozenset(self.cond))
+        if type(self.cond) is not frozenset:
+            object.__setattr__(self, "cond", frozenset(self.cond))
         _check_query(self.a, self.b, self.cond)
 
 
@@ -325,7 +328,8 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
                       conds: Iterable[Iterable[str]]) -> list[SeparationVerdict]:
     """[is_separated(g, SeparationQuery(a, b, c)) for c in conds] by one
     bit-parallel search (module docstring): the same verdicts, witnesses
-    and exceptions.
+    and exceptions.  The first bad set raises, an endpoint in it before an
+    unknown label.  Each set may be any iterable of labels, read once.
 
     Bit c of every word stands for conds[c]: in_cond[v] holds the sets
     with v in them and in_anc[v] those with v in their inclusive ancestor
@@ -335,30 +339,40 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
     allowed for in_anc[v].
     """
     index, adjacency = g.index, g.adjacency
-    members: list[list[int]] = [[] for _ in adjacency]
-    n = 0
-    for c in conds:
-        cond = frozenset(c)
-        _check_query(a, b, cond)
-        try:
-            start, goal = 2 * index[a], index[b]
-            for v in cond:
-                members[index[v]].append(n)
-        except KeyError as exc:
-            raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
-        n += 1
+    conds = list(conds)
+    n = len(conds)
     if not n:
         return []
+    if a == b:
+        raise ValueError("query endpoints must differ")
+    if a not in index or b not in index:
+        _check_query(a, b, frozenset(conds[0]))
+        raise UnknownVertex(f"unknown vertex {a if a not in index else b!r}")
+    start, goal = 2 * index[a], index[b]
+    # one pass: bit r of words[v] is set iff v is in conds[r].  An unknown
+    # label ends it once the rest of its set is read, since within a set the
+    # endpoint check comes first; a word exists only for a member vertex.
+    words: defaultdict[int, bytearray] = defaultdict(partial(bytearray, (n + 7) >> 3))
+    unknown = None
+    for r, c in enumerate(conds):
+        byte, bit = r >> 3, 1 << (r & 7)
+        rest = iter(c)
+        try:
+            for v in rest:
+                words[index[v]][byte] |= bit
+        except KeyError as exc:
+            unknown = exc.args[0]
+            break
+    if index[a] in words or goal in words or \
+            (unknown is not None and not {a, b}.isdisjoint(rest)):
+        raise ValueError("query endpoints may not be conditioned on")
+    if unknown is not None:
+        raise UnknownVertex(f"unknown vertex {unknown!r}")
 
     every = (1 << n) - 1
-    nbytes = (n + 7) >> 3
     in_cond = [0] * len(adjacency)
-    for v, rows in enumerate(members):
-        if rows:
-            buf = bytearray(nbytes)
-            for r in rows:
-                buf[r >> 3] |= 1 << (r & 7)
-            in_cond[v] = int.from_bytes(buf, "little")
+    for v, buf in words.items():
+        in_cond[v] = int.from_bytes(buf, "little")
     # open colliders: a vertex is open for cond iff it or a descendant is in it
     in_anc = in_cond[:]
     for label in reversed(topological_order(g)):

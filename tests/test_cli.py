@@ -321,6 +321,36 @@ def test_canonical_sweep_reports_pinned(diamond_file, tmp_path):
         assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_CSV_SHA256[name]
 
 
+def test_sweep_report_formats_each_witness_once(tmp_path, monkeypatch):
+    # the benchmark's box sweep: 2,379 rows, 2,339 of them connected, share
+    # 36 witness Paths, and the report formats each of them once
+    import seplat.cli
+    from seplat.cli import CSV_HEADER, sweep_csv_row
+    from seplat.lattice import BOX, L3C, Cell, Window, prop1_sweep
+
+    graph, report = tmp_path / "box.json", tmp_path / "box.csv"
+    assert main(["lattice", "gen", "--kind", "box", "--kmin", "2", "--kmax", "5",
+                 "--mmin", "0", "--mmax", "8", "--out", str(graph)]) == 0
+    formatted = []
+    format_path = seplat.cli.format_path
+
+    def counting(p):
+        formatted.append(p)
+        return format_path(p)
+
+    monkeypatch.setattr(seplat.cli, "format_path", counting)
+    assert main(["prop1", "verify", "--graph", str(graph), "--a", "b(4,2)",
+                 "--b", "b(4,6)", "--max-cells", "5", "--report", str(report)]) == 1
+    monkeypatch.undo()
+    rep = prop1_sweep(BOX, Window(2, 5, 0, 8), Cell(BOX, 4, 2), Cell(BOX, 4, 6), L3C, 5)
+    witnesses = {r.witness for r in rep.rows if r.witness is not None}
+    assert (rep.total, sum(not r.separated for r in rep.rows)) == (2379, 2339)
+    assert len(formatted) == len(set(formatted)) == len(witnesses) == 36
+    with report.open(encoding="utf-8", newline="") as fh:
+        lines = list(csv.reader(fh, delimiter=";"))
+    assert lines == [CSV_HEADER] + [sweep_csv_row(r) for r in rep.rows]
+
+
 def test_prop1_verify_max_cells_zero(diamond_file, capsys):
     code = main(["prop1", "verify", "--graph", str(diamond_file), "--a", A,
                  "--b", B, "--max-cells", "0"])

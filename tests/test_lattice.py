@@ -550,6 +550,17 @@ def test_prop1_sweep_diamond_report(diamond6):
     assert not rep.counterexamples
 
 
+
+def test_prop1_rows_are_immutable(diamond6):
+    rep = prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), L3C, 1,
+                      lattice_graph=diamond6)
+    row = rep.rows[0]
+    assert type(row)._fields == ("region", "l1", "l2", "l3", "shielder_off",
+                                 "separated", "witness")
+    for field in type(row)._fields:
+        with pytest.raises(AttributeError):
+            setattr(row, field, getattr(row, field))
+
 @st.composite
 def sweep_cases(draw):
     kind = draw(st.sampled_from((DIAMOND, BOX)))

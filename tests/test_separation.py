@@ -249,6 +249,25 @@ def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
     assert searched == connected
 
 
+def test_batch_takes_any_iterable_per_set(diamond6):
+    from seplat.errors import UnknownVertex
+
+    low, par = sorted(LOW_SET), sorted(PAR_A)
+    conds = [iter(low), par, set(par), tuple(low + par), low + low[:1],
+             (v for v in par), frozenset(), ()]
+    want = [is_separated(diamond6, SeparationQuery(A, B, frozenset(c)))
+            for c in (low, par, par, low + par, low, par, (), ())]
+    assert separation.is_separated_each(diamond6, A, B, conds) == want
+    # the first bad set decides, and within a set an endpoint comes first,
+    # also when it follows an unknown label
+    for bad, error in (([par, [A], ["nowhere"]], ValueError),
+                       ([par, ["nowhere"], (v for v in [B])], UnknownVertex),
+                       ([(v for v in ["nowhere", *low, B])], ValueError),
+                       ([["nowhere", "elsewhere"], [A]], UnknownVertex)):
+        with pytest.raises(error):
+            separation.is_separated_each(diamond6, A, B, bad)
+
+
 def test_batched_answers_only_its_own_queries(collider_graph):
     # inside the block a covered query returns the batch's verdict object;
     # another set or another pair is decided as usual; the block always
