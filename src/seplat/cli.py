@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import lattice as lat
 from .errors import BudgetExceeded, SeparatedInput, SeplatError
@@ -49,22 +49,55 @@ def write_report(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def sweep_csv_rows(rows: Iterable[lat.Prop1Row]) -> Iterator[list[str]]:
-    """The sweep report lines of rows, in CSV_HEADER order.  Rows of one
-    sweep share their witness Paths, so each distinct one is formatted once."""
+class _Echo:
+    """A file for csv.writer whose write returns the text, so writerow
+    returns the encoded line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def write_sweep_report(path, rows: Iterable[lat.Prop1Row]) -> None:
+    """Write a sweep report: CSV_HEADER, then one line per row, streamed.
+
+    csv.writer encodes every field, but not row by row.  Each distinct
+    verdict tail (l1, l2, l3, shielder_off, separated, witness) is encoded
+    once, from its leading ";" to the line end, formatting its witness
+    once.  Each distinct region label is encoded once to learn whether csv
+    leaves it as it is; a "+"-join of such labels is left as it is too,
+    since "+" is not special to csv, so the line is the join plus the
+    tail.  A region with any other label goes through csv.writer with its
+    whole line.
+    """
+    encode = csv.writer(_Echo(), delimiter=";").writerow
+    plain: set[str] = set()  # labels csv writes as they are
+    quoted: set[str] = set()  # labels csv quotes
     witness_text: dict[Path | None, str] = {None: "-"}
-    for r in rows:
+    tails: dict[tuple, str] = {}
+
+    def verdict_fields(r: lat.Prop1Row) -> list[str]:
         text = witness_text.get(r.witness)
         if text is None:
             text = witness_text[r.witness] = format_path(r.witness)
-        yield ["+".join(r.region), _BOOL_TEXT[r.l1], _BOOL_TEXT[r.l2],
-               _BOOL_TEXT[r.l3], _BOOL_TEXT[r.shielder_off],
-               _BOOL_TEXT[r.separated], text]
+        return [_BOOL_TEXT[r.l1], _BOOL_TEXT[r.l2], _BOOL_TEXT[r.l3],
+                _BOOL_TEXT[r.shielder_off], _BOOL_TEXT[r.separated], text]
 
-
-def sweep_csv_row(r: lat.Prop1Row) -> list[str]:
-    """One sweep report line, in CSV_HEADER order."""
-    return next(sweep_csv_rows((r,)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write = fh.write
+        write(encode(CSV_HEADER))
+        for r in rows:
+            region = r.region
+            if not plain.issuperset(region):
+                for label in set(region) - plain - quoted:
+                    unquoted = encode([label, ""]) == label + ";\r\n"
+                    (plain if unquoted else quoted).add(label)
+                if not plain.issuperset(region):
+                    write(encode(["+".join(region), *verdict_fields(r)]))
+                    continue
+            tail = tails.get(r[1:])
+            if tail is None:
+                tail = tails[r[1:]] = encode(["", *verdict_fields(r)])
+            write("+".join(region) + tail)
 
 
 def mc_query(a: str, b: str, cond: Sequence[str]) -> str:
@@ -203,7 +236,7 @@ def _cmd_prop1_verify(args) -> int:
     report = lat.prop1_sweep(kind, window, cell_a, cell_b, args.variant,
                              args.max_cells, args.budget, lattice_graph=g)
     if args.report:
-        write_report(args.report, CSV_HEADER, sweep_csv_rows(report.rows))
+        write_sweep_report(args.report, report.rows)
     counterexamples = report.counterexamples
     _emit({"candidates": report.total,
            "shielder_off": report.shielder_off_count,

@@ -100,7 +100,7 @@ _LUT_AXES = 8
 # Built from Python ints: the first run of numpy's shift and bitwise-and,
 # which nothing else in seplat calls, adds about 0.25 MB to the resident set.
 _LUT_BITS = np.array([[row >> (_LUT_AXES - 1 - col) & 1 for col in range(_LUT_AXES)]
-                      for row in range(2 ** _LUT_AXES)], dtype=np.intp)
+                      for row in range(2 ** _LUT_AXES)], dtype=np.uint8)
 # Atoms per chained block, both of a table's rows (_marginal_table) and of
 # the groups that target_marginal streams, each continued from one shared
 # head of at most 2^16 atoms.  The streamed peak is then the head, a
@@ -111,13 +111,18 @@ _HEAD_AXES = 16
 
 
 def _atom_bins(weights: list[int]) -> np.ndarray:
-    """Output bin of every atom of a table whose axis i adds weights[i]."""
-    bins = np.zeros(1, dtype=np.intp)
+    """Output bin of every atom of a table whose axis i adds weights[i].
+
+    The bins are summed in the narrowest unsigned type that holds the
+    largest, sum(weights), so no partial sum wraps.  They come back as
+    np.intp, which np.add.at takes without a cast on every block."""
+    dtype = np.min_scalar_type(sum(weights))
+    bins = np.zeros(1, dtype=dtype)
     for start in range(0, len(weights), _LUT_AXES):
-        chunk = np.array(weights[start:start + _LUT_AXES], dtype=np.intp)
+        chunk = np.array(weights[start:start + _LUT_AXES], dtype=dtype)
         lut = _LUT_BITS[:2 ** len(chunk), _LUT_AXES - len(chunk):] @ chunk
         bins = np.add.outer(bins, lut).ravel()
-    return bins
+    return bins.astype(np.intp)
 
 
 def _axis_weights(vars: Iterable[str], keep: list[str]) -> list[int]:

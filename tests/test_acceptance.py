@@ -31,7 +31,7 @@ from conftest import (
     PAR_A,
     STAIRCASE,
 )
-from seplat.cli import CSV_HEADER, dot_text, graph_document_text, sweep_csv_rows, write_report
+from seplat.cli import dot_text, graph_document_text, write_sweep_report
 from seplat.graph import (
     ANCESTORS_INCLUSIVE,
     BIDIR,
@@ -204,7 +204,7 @@ BOX_L3C_REPORT_SHA256 = "0907a23dbc86a346fc583723ef10a62ffecb70066f872d6f5c1411d
 def test_criterion_3_box_report_pinned(box_l3c, tmp_path):
     rep, _elapsed = box_l3c
     report = tmp_path / "box_l3c.csv"
-    write_report(report, CSV_HEADER, sweep_csv_rows(rep.rows))
+    write_sweep_report(report, rep.rows)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == BOX_L3C_REPORT_SHA256
 
 

@@ -321,11 +321,25 @@ def test_canonical_sweep_reports_pinned(diamond_file, tmp_path):
         assert hashlib.sha256(report.read_bytes()).hexdigest() == CANONICAL_CSV_SHA256[name]
 
 
+def _sweep_fields(r):
+    """A sweep report line's fields, in CSV_HEADER order, built one by one."""
+    from seplat.graph import format_path
+
+    return ["+".join(r.region), *(str(x).lower() for x in r[1:6]),
+            format_path(r.witness) if r.witness is not None else "-"]
+
+
+def _csv_writer_bytes(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=";").writerows(lines)
+    return path.read_bytes()
+
+
 def test_sweep_report_formats_each_witness_once(tmp_path, monkeypatch):
     # the benchmark's box sweep: 2,379 rows, 2,339 of them connected, share
     # 36 witness Paths, and the report formats each of them once
     import seplat.cli
-    from seplat.cli import CSV_HEADER, sweep_csv_row
+    from seplat.cli import CSV_HEADER, write_sweep_report
     from seplat.lattice import BOX, L3C, Cell, Window, prop1_sweep
 
     graph, report = tmp_path / "box.json", tmp_path / "box.csv"
@@ -346,16 +360,48 @@ def test_sweep_report_formats_each_witness_once(tmp_path, monkeypatch):
     witnesses = {r.witness for r in rep.rows if r.witness is not None}
     assert (rep.total, sum(not r.separated for r in rep.rows)) == (2379, 2339)
     assert len(formatted) == len(set(formatted)) == len(witnesses) == 36
+    written = tmp_path / "written.csv"
+    write_sweep_report(written, rep.rows)
+    assert report.read_bytes() == written.read_bytes()
     with report.open(encoding="utf-8", newline="") as fh:
         lines = list(csv.reader(fh, delimiter=";"))
-    assert lines == [CSV_HEADER] + [sweep_csv_row(r) for r in rep.rows]
+    assert lines == [CSV_HEADER] + [_sweep_fields(r) for r in rep.rows]
 
 
-def test_prop1_verify_max_cells_zero(diamond_file, capsys):
+def test_sweep_report_is_what_csv_writer_writes(tmp_path):
+    # labels and witnesses that csv must quote, mixed with plain ones, and
+    # each region and verdict tail seen more than once
+    import random
+
+    from seplat.cli import CSV_HEADER, write_sweep_report
+    from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path as GPath
+    from seplat.lattice import Prop1Row
+
+    regions = [(), ("",), ("", ""), ("b(0,1)",), ("b(0,1)", "b(0,2)"), ("a;b",),
+               ('q"x', "b(0,1)"), ("b(0,1)", "n\nl"), ("c\rr",), ("p+q", "s p"),
+               ("b(0,2)", "a;b", 'q"x'), ("\r\n",)]
+    witnesses = [None, GPath(("b(0,1)", "b(0,2)"), (DIR_FORWARD,)),
+                 GPath(('w"1', "y;z", "n\nm", "r\r"), (BIDIR, DIR_BACKWARD, DIR_FORWARD))]
+    rng = random.Random(7)
+    rows = [Prop1Row(rng.choice(regions), *(rng.random() < 0.5 for _ in range(5)),
+                     rng.choice(witnesses)) for _ in range(300)]
+    lines = [CSV_HEADER] + [_sweep_fields(r) for r in rows]
+    written = tmp_path / "written.csv"
+    write_sweep_report(written, rows)
+    assert written.read_bytes() == _csv_writer_bytes(tmp_path / "csv.csv", lines)
+    with written.open(encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh, delimiter=";")) == lines
+
+
+def test_prop1_verify_max_cells_zero(diamond_file, tmp_path, capsys):
+    from seplat.cli import CSV_HEADER
+
+    report = tmp_path / "r.csv"
     code = main(["prop1", "verify", "--graph", str(diamond_file), "--a", A,
-                 "--b", B, "--max-cells", "0"])
+                 "--b", B, "--max-cells", "0", "--report", str(report)])
     assert code == 0
     assert _last_json(capsys)["candidates"] == 0
+    assert report.read_bytes() == _csv_writer_bytes(tmp_path / "csv.csv", [CSV_HEADER])
 
 
 @pytest.mark.parametrize("max_cells", ["0", "1"])

@@ -11,7 +11,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import inorder_marginal
 from seplat import markov
@@ -79,6 +79,31 @@ def test_marginal_chains_many_small_read_only_blocks(case, block_axes):
     assert_inorder_bits(d, keep, m)
     if d.vars[-1] in keep:
         assert m.table.tobytes() == numpy_marginal(d, keep).tobytes()
+
+
+def intp_bins(weights):
+    """The output bin of every atom in np.intp, added one axis at a time."""
+    bins = np.zeros(1, dtype=np.intp)
+    for w in weights:
+        bins = np.add.outer(bins, np.array([0, w], dtype=np.intp)).ravel()
+    return bins
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 22).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.booleans(), min_size=n, max_size=n))),
+    st.booleans())
+@example(([], []), False)
+@example((list(range(22)), [False] * 22), False)
+@example((list(range(22)), [True] * 22), False)
+def test_atom_bins_match_intp_bins(case, in_order):
+    # the weights of a marginal kept on the marked axes: in order, the
+    # highest output weight is on the lowest axis
+    order, kept = case
+    names = sorted(order) if in_order else order
+    weights = markov._axis_weights(names, sorted(n for n, k in zip(names, kept) if k))
+    bins = markov._atom_bins(weights)
+    assert bins.dtype == np.intp and np.array_equal(bins, intp_bins(weights))
 
 
 def test_marginal_bits_on_the_soundness_cli_margin(tmp_path, monkeypatch):
