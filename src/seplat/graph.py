@@ -74,7 +74,7 @@ class MixedGraph:
     __slots__ = ("vertices", "directed", "bidirected", "_parents", "_children",
                  "_spouses", "_order", "_incident", "_directed_set",
                  "_bidirected_set", "index", "adjacency", "ancestor_masks",
-                 "parent_masks", "spouse_masks", "_augmented", "batch")
+                 "batch")
 
     def __init__(self, vertices, directed, bidirected, parents, children,
                  spouses, order):
@@ -106,8 +106,7 @@ class MixedGraph:
         # order as (next state, neighbor index, path kind): all of them, those
         # whose edge has a head at i, and those whose edge has a tail at i.
         # ancestor_masks[i] has bit j set iff vertices[j] is an inclusive
-        # ancestor of vertices[i]; parent_masks[i] and spouse_masks[i] hold the
-        # bits of its parents and spouses.
+        # ancestor of vertices[i].
         index = {v: i for i, v in enumerate(vertices)}
         adjacency = []
         for v in vertices:
@@ -117,7 +116,6 @@ class MixedGraph:
                 every.append(move)
                 (head_here if mv == "h" else tail_here).append(move)
             adjacency.append((tuple(every), tuple(head_here), tuple(tail_here)))
-        parent_masks = tuple(sum(1 << index[p] for p in parents[v]) for v in vertices)
         masks = [0] * len(vertices)
         for v in order:
             i = index[v]
@@ -129,11 +127,6 @@ class MixedGraph:
         self.adjacency: tuple[tuple[tuple[tuple[int, int, str], ...], ...], ...] = \
             tuple(adjacency)
         self.ancestor_masks: tuple[int, ...] = tuple(masks)
-        self.parent_masks: tuple[int, ...] = parent_masks
-        self.spouse_masks: tuple[int, ...] = tuple(
-            sum(1 << index[s] for s in spouses[v]) for v in vertices)
-        # one-entry memo of augmented_masks: (keep, masks) of the last call
-        self._augmented: tuple[int, tuple[int, ...]] | None = None
         # (a, b, {cond mask: verdict}) inside a separation.batched block,
         # with a, b vertex indices
         self.batch: tuple[int, int, dict] | None = None
@@ -273,8 +266,7 @@ def flood(start: int, neighbour_masks, blocked: int, goal: int = 0) -> int:
     Spread from the start bits through neighbour_masks[i] of each reached
     bit i, never entering the blocked bits, and return the reached bits.
     The fill stops as soon as it reaches a goal bit (the start bits count),
-    so the result meets goal iff a goal bit is reachable.  A negative
-    blocked (~allowed) confines the fill to the allowed bits.
+    so the result meets goal iff a goal bit is reachable.
     """
     seen = frontier = start
     while frontier:
@@ -288,45 +280,6 @@ def flood(start: int, neighbour_masks, blocked: int, goal: int = 0) -> int:
         frontier = reached & ~(blocked | seen)
         seen |= frontier
     return seen
-
-
-def augmented_masks(g: MixedGraph, keep: int) -> tuple[int, ...]:
-    """Neighbour masks of the augmented graph of the ancestral set keep.
-
-    Each district of keep (a component of its bidirected edges) forms a
-    clique together with the district's parents; the edges of the graph on
-    keep are among these, since a directed edge joins its head's district
-    to one of that district's parents.  Vertices outside keep get mask 0.
-    keep must be ancestral, so every parent of a vertex of keep is in keep.
-    The last result is memoised on the graph.
-    """
-    memo = g._augmented
-    if memo is not None and memo[0] == keep:
-        return memo[1]
-    parent_masks, spouse_masks = g.parent_masks, g.spouse_masks
-    masks = [0] * len(parent_masks)
-    rest = keep
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        if spouse_masks[i] & keep:
-            district = clique = flood(low, spouse_masks, ~keep)
-            bits = district
-            while bits:
-                bit = bits & -bits
-                clique |= parent_masks[bit.bit_length() - 1]
-                bits ^= bit
-        else:  # no spouse in keep: a district of one, the common case
-            district, clique = low, low | parent_masks[i]
-        rest ^= district
-        bits = clique
-        while bits:
-            bit = bits & -bits
-            masks[bit.bit_length() - 1] |= clique ^ bit
-            bits ^= bit
-    result = tuple(masks)
-    g._augmented = (keep, result)
-    return result
 
 
 def topological_order(g: MixedGraph) -> tuple[str, ...]:

@@ -314,8 +314,7 @@ def _pool_index(cell_a: Cell, window: Window
 
 def _shields(blocked: int, parent_masks: tuple[int, ...], boundary: int) -> bool:
     """graph.flood from bit 0 through parent masks, never entering the
-    blocked bits: True iff it reaches no boundary cell.  The same fill
-    decides separation by a vertex cut in is_separated."""
+    blocked bits: True iff it reaches no boundary cell."""
     return not flood(1, parent_masks, blocked, boundary) & boundary
 
 

@@ -7,11 +7,9 @@ Three decision routes:
   blocks; a collider blocks unless it is in the conditioning set's
   inclusive ancestor closure, i.e. it or one of its descendants is
   conditioned on).  It shares no code with the other two.
-* is_separated -- the fast route for one query.  A vertex cut decides
-  every query whose conditioning set lies within An({a, b}), the
-  inclusive ancestors of the endpoints.  A breadth-first search builds the
-  witness of a connected query, and decides the queries the cut does not
-  cover.
+* is_separated -- the fast route for one query: a breadth-first search
+  that decides the query and, when it is connected, returns the first
+  active walk to b as the witness.
 * is_separated_each -- the route for many conditioning sets of one pair,
   as a sweep asks.  One bit-parallel search decides them all and returns
   what is_separated returns for each, witness included.  Inside a
@@ -19,20 +17,6 @@ Three decision routes:
   queries from one such call, so a sweep still asks is_separated row by
   row, where perfbench's tracer counts the calls and its self-test flips
   a verdict, and no row runs a search of its own.
-
-The cut.  Z m-separates a and b iff Z separates them in the augmented
-graph of An({a, b} | Z) (Richardson 2003; on DAGs the moral graph of
-Lauritzen et al. 1990).  It is the undirected graph on that ancestral set
-in which two vertices are adjacent iff a collider path joins them, that
-is iff both lie in one district (bidirected component) or among its
-parents.  One half in brief: every vertex of an active path is an
-ancestor of an endpoint or of Z, and the endpoints and non-colliders of
-the path, none of them in Z, follow one another through runs of
-colliders, which are augmented edges.  Ancestry is transitive, so for Z
-within An({a, b}), An({a, b} | Z) = An({a, b}): every such Z is tested on
-one fixed graph (graph.augmented_masks), by a flood fill from a that never
-enters Z (graph.flood).  Undirected separation is monotone: adding
-vertices of An({a, b}) to a separating Z keeps it separating.
 
 The search.  Breadth-first reachability over integer states 2*v + head
 (vertex index, arrowhead on entry) on the graph's integer core (the
@@ -88,8 +72,6 @@ from .graph import (
     DIR_FORWARD,
     MixedGraph,
     Path,
-    augmented_masks,
-    flood,
     relatives,
     topological_order,
 )
@@ -214,17 +196,14 @@ def is_separated_oracle(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
 
 
 def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
-    """Decide separation by a vertex cut; search only to build witnesses.
+    """Decide separation by the breadth-first search; a connected query's
+    witness is its first active walk to b (module docstring).
 
-    When cond lies within An({a, b}), a is separated from b iff the flood
-    fill from a over the augmented graph of An({a, b}), never entering cond,
-    misses b (module docstring).  A connected query, and any query with a
-    conditioned vertex outside An({a, b}), goes to the breadth-first search,
-    whose first active walk to b is the witness.  Agrees with
-    is_separated_oracle on every input; the witness is deterministic.
-    Inside batched(g, ...), a query it covers takes its verdict from there.
+    Agrees with is_separated_oracle on every input; the witness is
+    deterministic.  Inside batched(g, ...), a query it covers takes its
+    verdict from there.
     """
-    index, anc = g.index, g.ancestor_masks
+    index = g.index
     try:
         a, b = index[q.a], index[q.b]
         cond_mask = 0
@@ -237,14 +216,7 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
         verdict = batch[2].get(cond_mask)
         if verdict is not None:
             return verdict
-    keep = anc[a] | anc[b]
-    by_cut = not cond_mask & ~keep
-    if by_cut and not flood(1 << a, augmented_masks(g, keep), cond_mask, 1 << b) >> b & 1:
-        return SeparationVerdict(True, None)
     witness = _search(g, q, a, b, cond_mask)
-    if witness is None and by_cut:
-        raise RuntimeError("internal invariant violation: the vertex cut "
-                           "connects a and b but no active walk does")
     return SeparationVerdict(witness is None, witness)
 
 
@@ -497,9 +469,10 @@ def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     separation: |S0| + 1 separation calls.  None is returned if S0 itself
     fails to separate.
 
-    One pass is inclusion-minimal (Tian, Paz & Pearl 1998).  Every set it
-    tests lies within An({a, b}), where separation is a vertex cut of one
-    fixed graph and so monotone in the set (module docstring).  Each
+    One pass is inclusion-minimal.  Every set it tests lies within
+    An({a, b}), and there separation is monotone: adding a vertex of
+    An({a, b}) to a separating set keeps it separating (a theorem of
+    separation itself: Richardson 2003; Tian, Paz & Pearl 1998).  Each
     survivor failed to be removed from a superset of the result, so
     removing it from the result fails too.
     """

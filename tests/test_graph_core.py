@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from seplat.errors import CycleError, DuplicateEdge, SelfLoop, UnknownVertex
@@ -9,7 +7,6 @@ from seplat.graph import (
     COLLATERALS,
     DESCENDANTS,
     PARENTS,
-    augmented_masks,
     build_graph,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -19,7 +16,6 @@ from seplat.graph import (
 )
 from seplat.lattice import DIAMOND, Window
 from seplat.lattice import build_graph as build_lattice_graph
-from seplat.random_graphs import random_dag
 
 
 def test_build_chain():
@@ -161,37 +157,3 @@ def test_json_dict_round_trip():
     g2, kind, window = graph_from_json_dict(doc)
     assert g2 == g and kind == "abstract" and window is None
     assert graph_to_json_dict(g2, kind) == doc
-
-
-def test_augmented_masks_join_each_district_and_its_parents():
-    g = build_graph("pqwxyz", [("p", "x"), ("q", "z")], [("x", "y"), ("y", "z")])
-    bits = {v: 1 << g.index[v] for v in g.vertices}
-
-    def neighbours(keep):
-        masks = augmented_masks(g, sum(bits[v] for v in keep))
-        return {v: "".join(w for w in g.vertices if masks[g.index[v]] & bits[w])
-                for v in g.vertices}
-
-    assert neighbours("pqwxyz") == {"p": "qxyz", "q": "pxyz", "w": "",
-                                    "x": "pqyz", "y": "pqxz", "z": "pqxy"}
-    # the districts are those of keep: without y, x and z fall apart
-    assert neighbours("pqxz") == {"p": "x", "q": "z", "w": "", "x": "p", "y": "", "z": "q"}
-
-
-def test_augmented_masks_are_the_moral_graph_on_dags():
-    # on a DAG every district is one vertex, so the augmented graph of an
-    # ancestral set is networkx's moral graph of the induced subgraph
-    nx = pytest.importorskip("networkx")
-    graphs = [random_dag(3 + seed % 6, 0.2 + 0.1 * (seed % 5), seed) for seed in range(40)]
-    graphs.append(build_lattice_graph(DIAMOND, Window(0, 5, 0, 5)))
-    for g in graphs:
-        dag = nx.DiGraph(g.directed)
-        dag.add_nodes_from(g.vertices)
-        for a, b in combinations(g.vertices, 2):
-            keep = g.ancestor_masks[g.index[a]] | g.ancestor_masks[g.index[b]]
-            members = [v for v in g.vertices if keep >> g.index[v] & 1]
-            moral = nx.moral_graph(dag.subgraph(members))
-            masks = augmented_masks(g, keep)
-            for v in g.vertices:
-                want = sum(1 << g.index[w] for w in moral[v]) if v in moral else 0
-                assert masks[g.index[v]] == want, (g, a, b, v)

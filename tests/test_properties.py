@@ -6,16 +6,13 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from seplat import separation
 from seplat.errors import UnknownVertex
 from seplat.graph import (
     ANCESTORS,
     ANCESTORS_INCLUSIVE,
     DESCENDANTS,
     PARENTS,
-    augmented_masks,
     build_graph,
-    flood,
     relatives,
     simple_paths,
     topological_order,
@@ -24,7 +21,6 @@ from seplat.markov import latent_expansion
 from seplat.random_graphs import random_mixed_graph
 from seplat.separation import (
     SeparationQuery,
-    SeparationVerdict,
     is_separated,
     is_separated_each,
     is_separated_oracle,
@@ -111,8 +107,8 @@ def test_simple_paths_are_simple(g):
 
 @st.composite
 def graph_and_ancestral_query(draw, max_n=7):
-    """A query whose conditioning set lies within An({a, b}), so that
-    is_separated decides it by the vertex cut."""
+    """A query whose conditioning set lies within An({a, b}), where
+    minimal_separator draws every set it tests."""
     g = draw(mixed_graphs(max_n=max_n))
     a, b = draw(st.sampled_from([(x, y) for x in g.vertices for y in g.vertices
                                  if x != y]))
@@ -121,23 +117,19 @@ def graph_and_ancestral_query(draw, max_n=7):
     return g, SeparationQuery(a, b, frozenset(cond))
 
 
-def _cut_separates(g, q):
-    a, b = g.index[q.a], g.index[q.b]
-    keep = g.ancestor_masks[a] | g.ancestor_masks[b]
-    cond_mask = sum(1 << g.index[v] for v in q.cond)
-    assert not cond_mask & ~keep
-    return not flood(1 << a, augmented_masks(g, keep), cond_mask, 1 << b) >> b & 1
-
-
 @SETTINGS
 @given(graph_and_ancestral_query())
-def test_cut_matches_oracle_and_search(gq):
+def test_separation_matches_oracle_and_is_monotone_within_the_ancestors(gq):
+    # the theorem behind minimal_separator's one pass: within An({a, b}),
+    # adding a vertex to a separating set keeps it separating
     g, q = gq
-    cut = _cut_separates(g, q)
-    cond_mask = sum(1 << g.index[v] for v in q.cond)
-    witness = separation._search(g, q, g.index[q.a], g.index[q.b], cond_mask)
-    assert cut == is_separated_oracle(g, q).separated == (witness is None)
-    assert is_separated(g, q) == SeparationVerdict(cut, witness)
+    verdict = is_separated(g, q)
+    assert verdict.separated == is_separated_oracle(g, q).separated
+    if not verdict.separated:
+        return
+    ancestors = relatives(g, {q.a, q.b}, ANCESTORS_INCLUSIVE) - {q.a, q.b}
+    for v in ancestors - q.cond:
+        assert is_separated(g, SeparationQuery(q.a, q.b, q.cond | {v})).separated
 
 
 @st.composite
@@ -179,17 +171,6 @@ def test_batch_route_matches_each_query(pac):
         each = _outcome(lambda: [is_separated(g, SeparationQuery(a, b, c)) for c in spoilt])
         assert isinstance(each, tuple)
         assert _outcome(lambda: is_separated_each(g, a, b, spoilt)) == each
-
-
-@SETTINGS
-@given(graph_and_ancestral_query())
-def test_cut_is_monotone_in_the_conditioning_set(gq):
-    g, q = gq
-    if not _cut_separates(g, q):
-        return
-    ancestors = relatives(g, {q.a, q.b}, ANCESTORS_INCLUSIVE) - {q.a, q.b}
-    for v in ancestors - q.cond:
-        assert _cut_separates(g, SeparationQuery(q.a, q.b, q.cond | {v}))
 
 
 @SETTINGS

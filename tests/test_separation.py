@@ -208,7 +208,7 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
         assert len(counted) == calls == len(counted[0].cond) + 1
 
 
-def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
+def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkeypatch):
     # criterion 13's sweep: one is_separated_each call decides every row,
     # and each row's is_separated answers from it without a search
     import seplat.lattice
@@ -229,13 +229,12 @@ def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
     rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
                       Cell(DIAMOND, 5, 2), L3C, max_cells=5, lattice_graph=diamond6)
     monkeypatch.undo()
-    connected = [frozenset(r.region) for r in rep.rows if not r.separated]
-    assert (rep.total, len(connected)) == (9401, 8775)
+    assert (rep.total, sum(not r.separated for r in rep.rows)) == (9401, 8775)
     assert calls == ["is_separated_each"] + ["is_separated"] * 9401
     assert diamond6.batch is None
 
-    # outside the block every region lies within An({a, b}), so the vertex
-    # cut decides each row and the search runs once per connected row
+    # outside the block each row's query runs exactly one search, which
+    # returns the row's verdict and witness
     search, searched = separation._search, []
 
     def search_spy(g, q, a, b, cond_mask):
@@ -246,7 +245,7 @@ def test_cut_decides_and_search_runs_only_for_witnesses(diamond6, monkeypatch):
     for r in rep.rows:
         q = SeparationQuery("d(2,5)", "d(5,2)", frozenset(r.region))
         assert is_separated(diamond6, q) == SeparationVerdict(r.separated, r.witness)
-    assert searched == connected
+    assert searched == [frozenset(r.region) for r in rep.rows]
 
 
 def test_batch_takes_any_iterable_per_set(diamond6):
@@ -287,21 +286,6 @@ def test_batched_answers_only_its_own_queries(collider_graph):
         with separation.batched(g, "a", "b", [c]):
             raise KeyError("inside")
     assert g.batch is None
-
-
-def test_cut_memo_follows_the_probe_pair(diamond6):
-    # alternate two probe pairs on one graph, so the one-entry memo of
-    # augmented masks changes at every query; dropping any cell of either
-    # minimal separator connects the pair
-    probes = [(A, B, {"d(3,0)", "d(3,1)"}),
-              ("d(2,3)", "d(3,2)", {"d(2,1)", "d(2,2)", "d(3,1)"})]
-    for k in range(3):
-        for a, b, sep in probes:
-            dropped = sorted(sep)[k % len(sep)]
-            for cond, separated in ((sep, True), (sep - {dropped}, False)):
-                q = SeparationQuery(a, b, frozenset(cond))
-                assert is_separated(diamond6, q).separated is separated
-                assert is_separated_oracle(diamond6, q).separated is separated
 
 
 def test_no_proper_subset_of_a_minimal_separator_separates():
