@@ -6,6 +6,7 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from seplat import separation
 from seplat.errors import UnknownVertex
 from seplat.graph import (
     ANCESTORS,
@@ -21,6 +22,7 @@ from seplat.markov import latent_expansion
 from seplat.random_graphs import random_mixed_graph
 from seplat.separation import (
     SeparationQuery,
+    SeparationVerdict,
     is_separated,
     is_separated_each,
     is_separated_oracle,
@@ -119,13 +121,24 @@ def graph_and_ancestral_query(draw, max_n=7):
 
 @SETTINGS
 @given(graph_and_ancestral_query())
-def test_separation_matches_oracle_and_is_monotone_within_the_ancestors(gq):
+def test_cut_matches_oracle_and_search(gq):
+    # a conditioning set within An({a, b}) cuts a from b exactly when the
+    # oracle says so and the search finds no witness
+    g, q = gq
+    cond_mask = sum(1 << g.index[v] for v in q.cond)
+    witness = separation._search(g, q, g.index[q.a], g.index[q.b], cond_mask)
+    separated = is_separated_oracle(g, q).separated
+    assert separated == (witness is None)
+    assert is_separated(g, q) == SeparationVerdict(separated, witness)
+
+
+@SETTINGS
+@given(graph_and_ancestral_query())
+def test_cut_is_monotone_in_the_conditioning_set(gq):
     # the theorem behind minimal_separator's one pass: within An({a, b}),
     # adding a vertex to a separating set keeps it separating
     g, q = gq
-    verdict = is_separated(g, q)
-    assert verdict.separated == is_separated_oracle(g, q).separated
-    if not verdict.separated:
+    if not is_separated(g, q).separated:
         return
     ancestors = relatives(g, {q.a, q.b}, ANCESTORS_INCLUSIVE) - {q.a, q.b}
     for v in ancestors - q.cond:
