@@ -9,7 +9,7 @@ so exports and test fixtures are byte-stable.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -37,10 +37,12 @@ COLLATERALS = "collaterals"
 
 @dataclass(frozen=True)
 class Path:
-    """A simple path: n vertices joined by n-1 edges of known kind."""
+    """A simple path: n vertices joined by n-1 edges of known kind.  Its
+    hash is computed once, since report writers key by witness."""
 
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 2 or len(self.edges) != len(self.vertices) - 1:
@@ -50,6 +52,10 @@ class Path:
         for kind in self.edges:
             if kind not in _KIND_RANK:
                 raise InvalidPath(f"unknown edge kind {kind!r}")
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return format_path(self)

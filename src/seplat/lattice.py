@@ -31,10 +31,17 @@ V >= V* and S >= U* + V*, and then it contains the whole quadrant.
 L1 and L3 are thus per-cell rules: L1 and L3Q hold when every cell passes,
 L3C when some cell does.  Each probe A has one cached bit index: A is bit 0
 and its pool of in-window geometric ancestors takes bits 1..n (the causal
-past is transitive, so a backward walk from A stays in the pool).  A
-candidate is the int mask of its cells: one mask test each for L1 and L3
-against per-cell fail masks, and the blocked set of the L2 flood fill.  The
-public predicates apply the same per-cell rules and flood fill to a Region.
+past is transitive, so a backward walk from A stays in the pool).  The public
+predicates decide one Region: the per-cell rules over its cells, and L2 as a
+flood fill over the pool bits that never enters the region.
+
+A sweep decides every candidate at once from membership words: bit r of
+member[p] is set iff candidate r holds pool cell p.  L1 and L3 are ORs of
+the words of the cells that fail (for L3C, that pass).  L2 is one pass over
+the pool, children before parents, carrying reach[p], the candidates whose
+walk from A gets to p, and a candidate fails when its walk gets to a
+boundary cell.  Mapped to graph vertices, the same words are the sets of
+the sweep's separation batch (separation.is_separated_words).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -312,12 +319,6 @@ def _pool_index(cell_a: Cell, window: Window
     return pool, bit, parent_masks, boundary
 
 
-def _shields(blocked: int, parent_masks: tuple[int, ...], boundary: int) -> bool:
-    """graph.flood from bit 0 through parent masks, never entering the
-    blocked bits: True iff it reaches no boundary cell."""
-    return not flood(1, parent_masks, blocked, boundary) & boundary
-
-
 def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
     """Discrete domain-of-dependence test.
 
@@ -329,7 +330,8 @@ def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
     """
     _require_same_kind(region, cell_a)
     _pool, bit, parent_masks, boundary = _pool_index(cell_a, window)
-    return _shields(sum(bit.get(c, 0) for c in region.cells), parent_masks, boundary)
+    blocked = sum(bit.get(c, 0) for c in region.cells)
+    return not flood(1, parent_masks, blocked, boundary) & boundary
 
 
 def _require_spacelike_pair(cell_a: Cell, cell_b: Cell) -> None:
@@ -392,20 +394,87 @@ def candidate_count(n_cells: int, max_cells: int) -> int:
     return sum(comb(n_cells, k) for k in range(1, min(max_cells, n_cells) + 1))
 
 
-def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
-                    max_cells: int | None = None, budget: int = DEFAULT_ENUM_BUDGET,
-                    ) -> Iterator[tuple[tuple[str, ...], bool, bool, bool]]:
-    """Stream (labels, l1, l2, l3) over all nonempty subsets of cell_a's pool
-    up to max_cells cells (None: the whole pool), in (size, lexicographic)
-    order, each labels tuple sorted.  A candidate's mask is the sum of a
-    combination of pool bits (module docstring).
+def _members(n: int, max_cells: int) -> list[int]:
+    """member[p] over the nonempty subsets of range(n) of at most max_cells
+    elements, in (size, lexicographic) order: bit r is set iff subset r
+    holds p.
 
-    Raises ValueError for a negative max_cells or an unknown variant and
-    BudgetExceeded when the candidate count exceeds budget, all before
-    yielding anything.
-    """
+    words[k][p] and count[k] describe the size-k subsets of s..n-1, for s
+    from n - 1 down to 0.  Those holding s come first, then those without
+    it; so the new words of size k are the old ones of size k - 1, for the
+    subsets holding s, then the old ones of size k shifted past them."""
+    words = [[0] * n for _ in range(max_cells + 1)]
+    count = [1] + [0] * max_cells
+    for s in range(n - 1, -1, -1):
+        for k in range(min(max_cells, n - s), 0, -1):
+            shift = count[k - 1]
+            below, here = words[k - 1], words[k]
+            for p in range(s + 1, n):
+                here[p] = below[p] | here[p] << shift
+            here[s] = (1 << shift) - 1
+            count[k] += shift
+    member = [0] * n
+    offset = 0
+    for k in range(1, max_cells + 1):
+        for p, word in enumerate(words[k]):
+            member[p] |= word << offset
+        offset += count[k]
+    return member
+
+
+def _union(member: list[int], cells: Iterable[bool]) -> int:
+    """The candidates holding some pool cell flagged in cells."""
+    word = 0
+    for m, flagged in zip(member, cells):
+        if flagged:
+            word |= m
+    return word
+
+
+def _l2_fails(member: list[int], parent_masks: tuple[int, ...], boundary: int,
+              every: int) -> int:
+    """The candidates whose backward walk from bit 0 reaches a boundary cell
+    without entering the candidate: l2_shields for all of them at once.
+
+    reach[i] holds the candidates whose walk gets to bit i.  A cell's parents
+    sort before it (a parent has a smaller first coordinate, or the same and
+    a smaller second), so the pool's bits are in topological order and the
+    pass visits bit 0, then bits n..1: each bit's children before it."""
+    n = len(member)
+    reach = [0] * (n + 1)
+    reach[0] = every
+    fails = 0
+    for i in (0, *range(n, 0, -1)):
+        word = reach[i] & ~member[i - 1] if i else reach[i]
+        if not word:
+            continue
+        if boundary >> i & 1:
+            fails |= word
+        parents = parent_masks[i]
+        while parents:
+            low = parents & -parents
+            reach[low.bit_length() - 1] |= word
+            parents ^= low
+    return fails
+
+
+_PASS = {"0": True, "1": False}
+
+
+def _passes(fails: int, count: int) -> Iterator[bool]:
+    """The verdicts of candidates 0..count-1, given the word of those failing."""
+    return map(_PASS.__getitem__, format(fails | 1 << count, "b")[:0:-1])
+
+
+def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
+                  max_cells: int | None, budget: int
+                  ) -> tuple[tuple[str, ...], range, list[int],
+                             Iterator[tuple[tuple[str, ...], bool, bool, bool]]]:
+    """The sweep kernel (module docstring), with shielding_sweep's checks:
+    (the pool's labels, the candidate sizes, each pool cell's membership
+    word, and shielding_sweep's stream of (labels, l1, l2, l3))."""
     _require_spacelike_pair(cell_a, cell_b)
-    pool, bit, parent_masks, boundary = _pool_index(cell_a, window)
+    pool, _bit, parent_masks, boundary = _pool_index(cell_a, window)
     if max_cells is None:
         max_cells = len(pool)
     elif max_cells < 0:
@@ -414,17 +483,36 @@ def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
     count = candidate_count(len(pool), max_cells)
     if count > budget:
         raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
+    sizes = range(1, min(max_cells, len(pool)) + 1)
+    member = _members(len(pool), len(sizes))
+    every = (1 << count) - 1
     in_l1 = _l1_rule(cell_a)
-    bits = [bit[c] for c in pool]
-    l1_fail = sum(bit[c] for c in pool if not in_l1(c))
-    l3_fail = sum(bit[c] for c in pool if not in_l3(c))
+    l1_fails = _union(member, (not in_l1(c) for c in pool))
+    if l3_every:
+        l3_fails = _union(member, (not in_l3(c) for c in pool))
+    else:
+        l3_fails = every & ~_union(member, map(in_l3, pool))
+    l2_fails = _l2_fails(member, parent_masks, boundary, every)
     labels = tuple(c.label for c in pool)
-    for size in range(1, min(max_cells, len(pool)) + 1):
-        for labs, mask in zip(combinations(labels, size),
-                              map(sum, combinations(bits, size))):
-            l3 = not (mask & l3_fail) if l3_every else (mask & l3_fail) != mask
-            yield (labs, not (mask & l1_fail),
-                   _shields(mask, parent_masks, boundary), l3)
+    regions = chain.from_iterable(combinations(labels, k) for k in sizes)
+    verdicts = (_passes(fails, count) for fails in (l1_fails, l2_fails, l3_fails))
+    return labels, sizes, member, zip(regions, *verdicts)
+
+
+def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
+                    max_cells: int | None = None, budget: int = DEFAULT_ENUM_BUDGET,
+                    ) -> Iterator[tuple[tuple[str, ...], bool, bool, bool]]:
+    """Stream (labels, l1, l2, l3) over all nonempty subsets of cell_a's pool
+    up to max_cells cells (None: the whole pool), in (size, lexicographic)
+    order, each labels tuple sorted.  The verdicts come from the membership
+    words of the sweep kernel (module docstring).
+
+    Raises ValueError for a negative max_cells or an unknown variant and
+    BudgetExceeded when the candidate count exceeds budget, all before
+    yielding anything.
+    """
+    *_, items = _decide_sweep(cell_a, cell_b, window, variant, max_cells, budget)
+    yield from items
 
 
 def region_to_vertexset(region: Region, g: MixedGraph) -> frozenset[str]:
@@ -489,9 +577,13 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
                 lattice_graph: MixedGraph | None = None) -> Prop1Report:
     """Full candidate sweep joining geometric verdicts with separation.
 
-    One is_separated_each call decides every candidate and builds the
-    witness of each connected one; each row still asks is_separated, which
-    answers from that call inside the batched block.
+    The sweep kernel decides the geometry (module docstring), and its
+    membership words, mapped to graph vertices, are the sets of one
+    is_separated_words call that decides every candidate and builds the
+    witness of each connected one.  Each row still asks is_separated, which
+    answers from that call inside the batched block.  b is strictly
+    spacelike from a, so neither is in a's pool and each row's query is
+    made without rechecking.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -500,11 +592,18 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     g = lattice_graph if lattice_graph is not None else build_graph(kind, window)
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
-    sweep = list(shielding_sweep(cell_a, cell_b, window, variant, max_cells, budget))
+    labels, sizes, member, items = _decide_sweep(cell_a, cell_b, window, variant,
+                                                 max_cells, budget)
+    # every pool cell is in some set, unless the sweep is empty
+    vertices = labels if sizes else ()
+    g.require(vertices)
+    vertex_bits = [1 << g.index[v] for v in vertices]
+    words = {g.index[v]: word for v, word in zip(vertices, member)}
+    masks = chain.from_iterable(map(sum, combinations(vertex_bits, k)) for k in sizes)
     rows = []
-    with batched(g, a, b, [labels for labels, *_ in sweep]):
-        for labels, l1, l2, l3 in sweep:
-            sep = is_separated(g, SeparationQuery(a, b, frozenset(labels)))
-            rows.append(Prop1Row(labels, l1, l2, l3, l1 and l2 and l3,
-                                 sep.separated, sep.witness))
+    with batched(g, a, b, masks, words):
+        for region, l1, l2, l3 in items:
+            sep = is_separated(g, SeparationQuery._trusted(a, b, frozenset(region)))
+            rows.append(tuple.__new__(Prop1Row, (region, l1, l2, l3, l1 and l2 and l3,
+                                                 sep.separated, sep.witness)))
     return Prop1Report(variant, rows)

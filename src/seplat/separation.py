@@ -12,8 +12,10 @@ Three decision routes:
   active walk to b as the witness.
 * is_separated_each -- the route for many conditioning sets of one pair,
   as a sweep asks.  One bit-parallel search decides them all and returns
-  what is_separated returns for each, witness included.  Inside a
-  batched(g, a, b, conds) block, is_separated answers each of those
+  what is_separated returns for each, witness included.  It is the label
+  front end of is_separated_words, which takes the sets as membership
+  words, one per vertex, as a lattice sweep already holds them.  Inside a
+  batched(g, a, b, ...) block, is_separated answers each of those
   queries from one such call, so a sweep still asks is_separated row by
   row, where perfbench's tracer counts the calls and its self-test flips
   a verdict, and no row runs a search of its own.
@@ -41,9 +43,10 @@ first state of the level before that has a move to it, at that move's
 position.  So the goal's chain extends the first walk of the last level
 with a move to b by its first such move.
 
-The batch.  is_separated_each runs that search for every conditioning set
-at once: bit c of every word stands for the c-th set, and the words of a
-state record which sets reach it at which level.  A forward pass finds, per
+The batch.  is_separated_words runs that search for every conditioning set
+at once: bit c of every word stands for the c-th set.  The input words say
+which sets hold each vertex, and the words of a state record which sets
+reach it at which level.  A forward pass finds, per
 set, the level at which b is first reached; a backward pass keeps the
 states that lie on a shortest active walk to b; a forward decode takes, at
 each state, the first allowed move onto a kept state.  That is the first
@@ -88,6 +91,14 @@ class SeparationQuery:
         if type(self.cond) is not frozenset:
             object.__setattr__(self, "cond", frozenset(self.cond))
         _check_query(self.a, self.b, self.cond)
+
+    @classmethod
+    def _trusted(cls, a: str, b: str, cond: frozenset[str]) -> "SeparationQuery":
+        """A query whose caller has already checked that a != b and that
+        neither is in cond, made without __post_init__'s checks."""
+        q = object.__new__(cls)
+        q.__dict__.update(a=a, b=b, cond=cond)
+        return q
 
 
 def _check_query(a: str, b: str, cond: frozenset[str]) -> None:
@@ -303,48 +314,85 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
     and exceptions.  The first bad set raises, an endpoint in it before an
     unknown label.  Each set may be any iterable of labels, read once.
 
-    Bit c of every word stands for conds[c]: in_cond[v] holds the sets
-    with v in them and in_anc[v] those with v in their inclusive ancestor
-    closure.  The search's rule becomes one word per move: a move out of v
-    is allowed for the sets without v, except that after entry through a
-    head, a move whose edge also has a head at v, making v a collider, is
-    allowed for in_anc[v].
+    The label front end of is_separated_words: it reads the sets into
+    membership words, bit r of words[v] set iff vertex index v is in
+    conds[r].
     """
-    index, adjacency = g.index, g.adjacency
     conds = list(conds)
+    return is_separated_words(g, a, b, len(conds), _cond_words(g, a, b, conds)[1])
+
+
+def _cond_words(g: MixedGraph, a: str, b: str, conds: list[Iterable[str]]
+                ) -> tuple[list[int], dict[int, int]]:
+    """(vertex mask of each set, membership word of each member vertex),
+    checked as is_separated_each's docstring says."""
+    index = g.index
     n = len(conds)
     if not n:
-        return []
+        return [], {}
     if a == b:
         raise ValueError("query endpoints must differ")
     if a not in index or b not in index:
         _check_query(a, b, frozenset(conds[0]))
         raise UnknownVertex(f"unknown vertex {a if a not in index else b!r}")
-    start, goal = 2 * index[a], index[b]
     # one pass: bit r of words[v] is set iff v is in conds[r].  An unknown
     # label ends it once the rest of its set is read, since within a set the
     # endpoint check comes first; a word exists only for a member vertex.
     words: defaultdict[int, bytearray] = defaultdict(partial(bytearray, (n + 7) >> 3))
+    masks = []
     unknown = None
     for r, c in enumerate(conds):
         byte, bit = r >> 3, 1 << (r & 7)
+        mask = 0
         rest = iter(c)
         try:
             for v in rest:
-                words[index[v]][byte] |= bit
+                i = index[v]
+                words[i][byte] |= bit
+                mask |= 1 << i
         except KeyError as exc:
             unknown = exc.args[0]
             break
-    if index[a] in words or goal in words or \
+        masks.append(mask)
+    if index[a] in words or index[b] in words or \
             (unknown is not None and not {a, b}.isdisjoint(rest)):
         raise ValueError("query endpoints may not be conditioned on")
     if unknown is not None:
         raise UnknownVertex(f"unknown vertex {unknown!r}")
+    return masks, {v: int.from_bytes(buf, "little") for v, buf in words.items()}
+
+
+def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
+                       words: dict[int, int]) -> list[SeparationVerdict]:
+    """The verdicts of n conditioning sets given as membership words: bit r
+    of words[v] is set iff vertex index v is in set r, and a vertex without
+    a word is in no set.  Returns what is_separated returns for each set,
+    witness included, by one bit-parallel search (module docstring).
+
+    ValueError when a == b or an endpoint is in a set; UnknownVertex for an
+    unknown endpoint.
+
+    Bit r of every word of the search stands for set r: in_cond[v] holds
+    the sets with v in them and in_anc[v] those with v in their inclusive
+    ancestor closure.  The search's rule becomes one word per move: a move
+    out of v is allowed for the sets without v, except that after entry
+    through a head, a move whose edge also has a head at v, making v a
+    collider, is allowed for in_anc[v].
+    """
+    if not n:
+        return []
+    index, adjacency = g.index, g.adjacency
+    if a == b:
+        raise ValueError("query endpoints must differ")
+    g.require((a, b))
+    start, goal = 2 * index[a], index[b]
+    if words.get(start >> 1) or words.get(goal):
+        raise ValueError("query endpoints may not be conditioned on")
 
     every = (1 << n) - 1
     in_cond = [0] * len(adjacency)
-    for v, buf in words.items():
-        in_cond[v] = int.from_bytes(buf, "little")
+    for v, word in words.items():
+        in_cond[v] = word
     # open colliders: a vertex is open for cond iff it or a descendant is in it
     in_anc = in_cond[:]
     for label in reversed(topological_order(g)):
@@ -420,22 +468,23 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
 
 
 @contextmanager
-def batched(g: MixedGraph, a: str, b: str,
-            conds: list[tuple[str, ...]]) -> Iterator[None]:
-    """Within the block, is_separated(g, SeparationQuery(a, b, c)) for c in
-    conds returns the verdict of one is_separated_each call, which is the
-    verdict it would compute.  Raises what is_separated_each raises.  The
-    verdicts are keyed by vertex mask: a frozenset per set would double a
-    large sweep's peak memory."""
-    verdicts = is_separated_each(g, a, b, conds)
-    index = g.index
-    held = {}
-    for c, verdict in zip(conds, verdicts):
-        mask = 0
-        for v in c:
-            mask |= 1 << index[v]
-        held[mask] = verdict
-    g.batch = (index[a], index[b], held)
+def batched(g: MixedGraph, a: str, b: str, conds: Iterable,
+            words: dict[int, int] | None = None) -> Iterator[None]:
+    """Within the block, is_separated(g, SeparationQuery(a, b, c)) for each
+    set c returns the verdict of one is_separated_words call, which is the
+    verdict it would compute.  Raises what is_separated_each raises.
+
+    The sets are conds, each as its labels; or, when words is given, they
+    are the sets of those membership words (is_separated_words), and conds
+    yields each set's vertex mask in set order, as a lattice sweep holds
+    them.  The verdicts are keyed by vertex mask: a frozenset per set would
+    double a large sweep's peak memory."""
+    if words is None:
+        masks, words = _cond_words(g, a, b, list(conds))
+    else:
+        masks = list(conds)
+    held = dict(zip(masks, is_separated_words(g, a, b, len(masks), words)))
+    g.batch = (g.index[a], g.index[b], held)
     try:
         yield
     finally:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from conftest import BOX_WINDOW, DIAMOND_WINDOW, LOW_SET, PAR_A, STAIRCASE
+from seplat import lattice
 from seplat.errors import (
     BudgetExceeded,
     KindMismatch,
@@ -600,6 +601,65 @@ def test_mask_sweep_matches_region_predicates(case):
                                  and not mutual_past_contact(c, cell_b) for c in combo)
         elif kind == DIAMOND:
             assert row.l3 == _exact_diamond_l3c(combo, cell_a, cell_b)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_members_match_brute_force_membership(n):
+    """Bit r of member[p] is set iff candidate r, the r-th subset in (size,
+    lexicographic) order, holds pool position p."""
+    bits = [1 << p for p in range(n)]
+    for max_cells in range(n + 2):
+        masks = [m for k in range(1, max_cells + 1) for m in map(sum, combinations(bits, k))]
+        want = [sum(1 << r for r, m in enumerate(masks) if m >> p & 1) for p in range(n)]
+        assert lattice._members(n, max_cells) == want
+
+
+@pytest.mark.parametrize("kind, window", [(BOX, Window(0, 3, 0, 6)),
+                                          (DIAMOND, Window(0, 4, 0, 4))])
+def test_word_l2_matches_l2_shields(kind, window):
+    """The sweep's L2 column, decided by one pass over membership words,
+    against l2_shields on a Region for every candidate of every strictly
+    spacelike probe pair, at up to 3 cells.  L2 depends on the probe a
+    only, so each (a, candidate) is decided once by l2_shields."""
+    cells = window.cells(kind)
+    pairs = 0
+    for cell_a in cells:
+        want = {}
+        for cell_b in cells:
+            if cell_b == cell_a or not strictly_spacelike(cell_a, cell_b):
+                continue
+            pairs += 1
+            for labels, _l1, l2, _l3 in shielding_sweep(cell_a, cell_b, window, L3C, 3):
+                if labels not in want:
+                    reg = Region(kind, frozenset(map(parse_cell, labels)))
+                    want[labels] = l2_shields(reg, cell_a, window)
+                assert l2 == want[labels], (cell_a, cell_b, labels)
+    assert pairs > 100
+
+
+@pytest.mark.parametrize("cell_a, cell_b, window, rows", [
+    (d(0, 1), d(1, 0), Window(0, 1, 0, 1),
+     {L3C: [(("d(0,0)",), True, False, True, False, True, None)],
+      L3Q: [(("d(0,0)",), True, False, False, False, True, None)]}),
+    (b(0, 0), b(0, 2), Window(0, 0, 0, 3),
+     {L3C: [(("b(0,1)",), False, False, True, False, False, "b(0,0)<->b(0,1)<->b(0,2)")],
+      L3Q: [(("b(0,1)",), False, False, False, False, False, "b(0,0)<->b(0,1)<->b(0,2)")]}),
+])
+def test_empty_and_one_cell_sweeps(cell_a, cell_b, window, rows):
+    """A one-cell pool gives one row, and max_cells=0 none; the checks
+    still raise before the first row."""
+    for variant, want in rows.items():
+        rep = prop1_sweep(cell_a.kind, window, cell_a, cell_b, variant)
+        got = [(*r[:6], r.witness and str(r.witness)) for r in rep.rows]
+        assert got == want
+        assert list(shielding_sweep(cell_a, cell_b, window, variant)) == [r[:4] for r in want]
+        assert list(shielding_sweep(cell_a, cell_b, window, variant, 0)) == []
+        assert prop1_sweep(cell_a.kind, window, cell_a, cell_b, variant, 0).rows == []
+        for kwargs, error in (({"budget": 0}, BudgetExceeded), ({"max_cells": -1}, ValueError)):
+            with pytest.raises(error):
+                next(shielding_sweep(cell_a, cell_b, window, variant, **kwargs))
+            with pytest.raises(error):
+                prop1_sweep(cell_a.kind, window, cell_a, cell_b, variant, **kwargs)
 
 
 def test_unknown_variant_rejected_up_front():

@@ -209,7 +209,7 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
 
 
 def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkeypatch):
-    # criterion 13's sweep: one is_separated_each call decides every row,
+    # criterion 13's sweep: one is_separated_words call decides every row,
     # and each row's is_separated answers from it without a search
     import seplat.lattice
 
@@ -223,14 +223,14 @@ def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkey
             return fn(*args)
         monkeypatch.setattr(module, name, counted)
 
-    spy(separation, "is_separated_each")
+    spy(separation, "is_separated_words")
     spy(separation, "_search")
     spy(seplat.lattice, "is_separated")
     rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
                       Cell(DIAMOND, 5, 2), L3C, max_cells=5, lattice_graph=diamond6)
     monkeypatch.undo()
     assert (rep.total, sum(not r.separated for r in rep.rows)) == (9401, 8775)
-    assert calls == ["is_separated_each"] + ["is_separated"] * 9401
+    assert calls == ["is_separated_words"] + ["is_separated"] * 9401
     assert diamond6.batch is None
 
     # outside the block each row's query runs exactly one search, which
@@ -265,6 +265,28 @@ def test_batch_takes_any_iterable_per_set(diamond6):
                        ([["nowhere", "elsewhere"], [A]], UnknownVertex)):
         with pytest.raises(error):
             separation.is_separated_each(diamond6, A, B, bad)
+
+
+def test_words_entry_takes_membership_words(diamond6):
+    # bit r of words[v] marks vertex index v as a member of set r; a vertex
+    # without a word, or with a zero word, is in no set
+    from seplat.errors import UnknownVertex
+
+    conds = [sorted(LOW_SET), sorted(PAR_A), [], sorted(LOW_SET | PAR_A)]
+    words = {}
+    for r, c in enumerate(conds):
+        for v in c:
+            words[diamond6.index[v]] = words.get(diamond6.index[v], 0) | 1 << r
+    want = separation.is_separated_each(diamond6, A, B, conds)
+    assert separation.is_separated_words(diamond6, A, B, len(conds), words) == want
+    words[diamond6.index[A]] = 0
+    assert separation.is_separated_words(diamond6, A, B, len(conds), words) == want
+    assert separation.is_separated_words(diamond6, A, B, 0, {}) == []
+    for a, b, bad, error in ((A, B, diamond6.index[B], ValueError),
+                             (A, A, None, ValueError),
+                             (A, "nowhere", None, UnknownVertex)):
+        with pytest.raises(error):
+            separation.is_separated_words(diamond6, a, b, 1, {} if bad is None else {bad: 1})
 
 
 def test_batched_answers_only_its_own_queries(collider_graph):
