@@ -266,28 +266,6 @@ def _kahn_order(vertices, parents, children) -> tuple[str, ...]:
     return tuple(out)
 
 
-def flood(start: int, neighbour_masks, blocked: int, goal: int = 0) -> int:
-    """Frontier flood fill over vertex bitmasks.
-
-    Spread from the start bits through neighbour_masks[i] of each reached
-    bit i, never entering the blocked bits, and return the reached bits.
-    The fill stops as soon as it reaches a goal bit (the start bits count),
-    so the result meets goal iff a goal bit is reachable.
-    """
-    seen = frontier = start
-    while frontier:
-        if frontier & goal:
-            return seen
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= neighbour_masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & ~(blocked | seen)
-        seen |= frontier
-    return seen
-
-
 def topological_order(g: MixedGraph) -> tuple[str, ...]:
     """Vertices with every directed edge pointing forward; label ties broken
     lexicographically."""

@@ -31,9 +31,7 @@ V >= V* and S >= U* + V*, and then it contains the whole quadrant.
 L1 and L3 are thus per-cell rules: L1 and L3Q hold when every cell passes,
 L3C when some cell does.  Each probe A has one cached bit index: A is bit 0
 and its pool of in-window geometric ancestors takes bits 1..n (the causal
-past is transitive, so a backward walk from A stays in the pool).  The public
-predicates decide one Region: the per-cell rules over its cells, and L2 as a
-flood fill over the pool bits that never enters the region.
+past is transitive, so a backward walk from A stays in the pool).
 
 A sweep decides every candidate at once from membership words: bit r of
 member[p] is set iff candidate r holds pool cell p.  L1 and L3 are ORs of
@@ -41,7 +39,9 @@ the words of the cells that fail (for L3C, that pass).  L2 is one pass over
 the pool, children before parents, carrying reach[p], the candidates whose
 walk from A gets to p, and a candidate fails when its walk gets to a
 boundary cell.  Mapped to graph vertices, the same words are the sets of
-the sweep's separation batch (separation.is_separated_words).
+the sweep's separation batch (separation.is_separated_words).  The public
+predicates decide one Region: the per-cell rules over its cells, and L2 as
+that pass on a sweep of one candidate.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
-from .graph import MixedGraph, flood
+from .graph import MixedGraph
 from .separation import SeparationQuery, batched, is_separated
 
 DIAMOND = "diamond"
@@ -305,18 +305,18 @@ def l1_past(region: Region, cell_a: Cell) -> bool:
 
 @lru_cache(maxsize=64)
 def _pool_index(cell_a: Cell, window: Window
-                ) -> tuple[tuple[Cell, ...], dict[Cell, int], tuple[int, ...], int]:
-    """(pool, bit by cell, in-window parent mask per bit, boundary mask):
-    cell_a is bit 0, its sorted geometric ancestors bits 1..n.  The causal
-    past is transitive, so every in-window parent of these cells is in the
-    pool; bit[p] raises KeyError if one were not."""
+                ) -> tuple[tuple[Cell, ...], tuple[int, ...], int]:
+    """(pool, in-window parent mask per bit, boundary mask): cell_a is bit
+    0, its sorted geometric ancestors bits 1..n.  The causal past is
+    transitive, so every in-window parent of these cells is in the pool;
+    bit[p] raises KeyError if one were not."""
     pool = tuple(sorted(geo_ancestors(cell_a, window)))
     cells = (cell_a,) + pool
     bit = {c: 1 << i for i, c in enumerate(cells)}
     parent_masks = tuple(sum(bit[p] for p in direct_parents(c) if window.contains(p))
                          for c in cells)
     boundary = sum(bit[c] for c in cells if is_boundary_cell(c, window))
-    return pool, bit, parent_masks, boundary
+    return pool, parent_masks, boundary
 
 
 def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
@@ -324,14 +324,14 @@ def l2_shields(region: Region, cell_a: Cell, window: Window) -> bool:
 
     Walk backward from cell_a through in-window parents, never entering the
     region; the region shields iff no reachable cell has a parent outside
-    the window (window exit counts as failure).  The walk is a frontier flood
-    fill over the probe's pool bits; a region cell outside the pool is never
-    reached, so it blocks nothing.
+    the window (window exit counts as failure).  The walk is the sweep's L2
+    pass (_l2_fails) on the one candidate whose membership words are the
+    region's pool cells; a region cell outside the pool is never reached,
+    so it blocks nothing.
     """
     _require_same_kind(region, cell_a)
-    _pool, bit, parent_masks, boundary = _pool_index(cell_a, window)
-    blocked = sum(bit.get(c, 0) for c in region.cells)
-    return not flood(1, parent_masks, blocked, boundary) & boundary
+    pool, parent_masks, boundary = _pool_index(cell_a, window)
+    return not _l2_fails([int(c in region.cells) for c in pool], parent_masks, boundary, 1)
 
 
 def _require_spacelike_pair(cell_a: Cell, cell_b: Cell) -> None:
@@ -474,7 +474,7 @@ def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
     (the pool's labels, the candidate sizes, each pool cell's membership
     word, and shielding_sweep's stream of (labels, l1, l2, l3))."""
     _require_spacelike_pair(cell_a, cell_b)
-    pool, _bit, parent_masks, boundary = _pool_index(cell_a, window)
+    pool, parent_masks, boundary = _pool_index(cell_a, window)
     if max_cells is None:
         max_cells = len(pool)
     elif max_cells < 0:

@@ -12,13 +12,14 @@ Three decision routes:
   active walk to b as the witness.
 * is_separated_each -- the route for many conditioning sets of one pair,
   as a sweep asks.  One bit-parallel search decides them all and returns
-  what is_separated returns for each, witness included.  It is the label
-  front end of is_separated_words, which takes the sets as membership
-  words, one per vertex, as a lattice sweep already holds them.  Inside a
-  batched(g, a, b, ...) block, is_separated answers each of those
-  queries from one such call, so a sweep still asks is_separated row by
-  row, where perfbench's tracer counts the calls and its self-test flips
-  a verdict, and no row runs a search of its own.
+  what is_separated returns for each, witness included.  It checks each
+  set as SeparationQuery and is_separated do, then hands the sets to
+  is_separated_words as membership words, one per vertex, the form a
+  lattice sweep already holds.  Inside a batched(g, a, b, masks, words)
+  block, is_separated answers each of a sweep's queries from one such
+  call, so a sweep still asks is_separated row by row, where perfbench's
+  tracer counts the calls and its self-test flips a verdict, and no row
+  runs a search of its own.
 
 The search.  Breadth-first reachability over integer states 2*v + head
 (vertex index, arrowhead on entry) on the graph's integer core (the
@@ -90,7 +91,10 @@ class SeparationQuery:
     def __post_init__(self) -> None:
         if type(self.cond) is not frozenset:
             object.__setattr__(self, "cond", frozenset(self.cond))
-        _check_query(self.a, self.b, self.cond)
+        if self.a == self.b:
+            raise ValueError("query endpoints must differ")
+        if self.a in self.cond or self.b in self.cond:
+            raise ValueError("query endpoints may not be conditioned on")
 
     @classmethod
     def _trusted(cls, a: str, b: str, cond: frozenset[str]) -> "SeparationQuery":
@@ -99,13 +103,6 @@ class SeparationQuery:
         q = object.__new__(cls)
         q.__dict__.update(a=a, b=b, cond=cond)
         return q
-
-
-def _check_query(a: str, b: str, cond: frozenset[str]) -> None:
-    if a == b:
-        raise ValueError("query endpoints must differ")
-    if a in cond or b in cond:
-        raise ValueError("query endpoints may not be conditioned on")
 
 
 @dataclass(frozen=True)
@@ -311,55 +308,25 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
                       conds: Iterable[Iterable[str]]) -> list[SeparationVerdict]:
     """[is_separated(g, SeparationQuery(a, b, c)) for c in conds] by one
     bit-parallel search (module docstring): the same verdicts, witnesses
-    and exceptions.  The first bad set raises, an endpoint in it before an
-    unknown label.  Each set may be any iterable of labels, read once.
+    and exceptions.  Each set is checked as that query is, in set order,
+    so the first bad set raises.  Each set may be any iterable of labels,
+    read once.
 
-    The label front end of is_separated_words: it reads the sets into
-    membership words, bit r of words[v] set iff vertex index v is in
-    conds[r].
+    The label front end of is_separated_words: bit r of words[v] is set
+    iff vertex index v is in conds[r].
     """
     conds = list(conds)
-    return is_separated_words(g, a, b, len(conds), _cond_words(g, a, b, conds)[1])
-
-
-def _cond_words(g: MixedGraph, a: str, b: str, conds: list[Iterable[str]]
-                ) -> tuple[list[int], dict[int, int]]:
-    """(vertex mask of each set, membership word of each member vertex),
-    checked as is_separated_each's docstring says."""
     index = g.index
-    n = len(conds)
-    if not n:
-        return [], {}
-    if a == b:
-        raise ValueError("query endpoints must differ")
-    if a not in index or b not in index:
-        _check_query(a, b, frozenset(conds[0]))
-        raise UnknownVertex(f"unknown vertex {a if a not in index else b!r}")
-    # one pass: bit r of words[v] is set iff v is in conds[r].  An unknown
-    # label ends it once the rest of its set is read, since within a set the
-    # endpoint check comes first; a word exists only for a member vertex.
-    words: defaultdict[int, bytearray] = defaultdict(partial(bytearray, (n + 7) >> 3))
-    masks = []
-    unknown = None
+    words: defaultdict[int, bytearray] = defaultdict(partial(bytearray, (len(conds) + 7) >> 3))
     for r, c in enumerate(conds):
+        q = SeparationQuery(a, b, c)
+        g.require((a, b))
+        g.require(q.cond)
         byte, bit = r >> 3, 1 << (r & 7)
-        mask = 0
-        rest = iter(c)
-        try:
-            for v in rest:
-                i = index[v]
-                words[i][byte] |= bit
-                mask |= 1 << i
-        except KeyError as exc:
-            unknown = exc.args[0]
-            break
-        masks.append(mask)
-    if index[a] in words or index[b] in words or \
-            (unknown is not None and not {a, b}.isdisjoint(rest)):
-        raise ValueError("query endpoints may not be conditioned on")
-    if unknown is not None:
-        raise UnknownVertex(f"unknown vertex {unknown!r}")
-    return masks, {v: int.from_bytes(buf, "little") for v, buf in words.items()}
+        for v in q.cond:
+            words[index[v]][byte] |= bit
+    return is_separated_words(g, a, b, len(conds),
+                              {v: int.from_bytes(buf, "little") for v, buf in words.items()})
 
 
 def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
@@ -468,21 +435,17 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
 
 
 @contextmanager
-def batched(g: MixedGraph, a: str, b: str, conds: Iterable,
-            words: dict[int, int] | None = None) -> Iterator[None]:
+def batched(g: MixedGraph, a: str, b: str, masks: Iterable[int],
+            words: dict[int, int]) -> Iterator[None]:
     """Within the block, is_separated(g, SeparationQuery(a, b, c)) for each
     set c returns the verdict of one is_separated_words call, which is the
-    verdict it would compute.  Raises what is_separated_each raises.
+    verdict it would compute.  Raises what is_separated_words raises.
 
-    The sets are conds, each as its labels; or, when words is given, they
-    are the sets of those membership words (is_separated_words), and conds
-    yields each set's vertex mask in set order, as a lattice sweep holds
-    them.  The verdicts are keyed by vertex mask: a frozenset per set would
-    double a large sweep's peak memory."""
-    if words is None:
-        masks, words = _cond_words(g, a, b, list(conds))
-    else:
-        masks = list(conds)
+    The sets are those of the membership words (is_separated_words), and
+    masks yields each set's vertex mask in set order, as a lattice sweep
+    holds them.  The verdicts are keyed by vertex mask: a frozenset per set
+    would double a large sweep's peak memory."""
+    masks = list(masks)
     held = dict(zip(masks, is_separated_words(g, a, b, len(masks), words)))
     g.batch = (g.index[a], g.index[b], held)
     try:

@@ -618,9 +618,10 @@ def test_members_match_brute_force_membership(n):
                                           (DIAMOND, Window(0, 4, 0, 4))])
 def test_word_l2_matches_l2_shields(kind, window):
     """The sweep's L2 column, decided by one pass over membership words,
-    against l2_shields on a Region for every candidate of every strictly
-    spacelike probe pair, at up to 3 cells.  L2 depends on the probe a
-    only, so each (a, candidate) is decided once by l2_shields."""
+    against l2_shields on a Region and against _l2_cell_walk, which shares
+    no code with that pass, for every candidate of every strictly spacelike
+    probe pair, at up to 3 cells.  L2 depends on the probe a only, so each
+    (a, candidate) is decided once by each reference."""
     cells = window.cells(kind)
     pairs = 0
     for cell_a in cells:
@@ -633,6 +634,8 @@ def test_word_l2_matches_l2_shields(kind, window):
                 if labels not in want:
                     reg = Region(kind, frozenset(map(parse_cell, labels)))
                     want[labels] = l2_shields(reg, cell_a, window)
+                    assert want[labels] == _l2_cell_walk(reg, cell_a, window), \
+                        (cell_a, labels)
                 assert l2 == want[labels], (cell_a, cell_b, labels)
     assert pairs > 100
 

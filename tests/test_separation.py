@@ -265,6 +265,15 @@ def test_batch_takes_any_iterable_per_set(diamond6):
                        ([["nowhere", "elsewhere"], [A]], UnknownVertex)):
         with pytest.raises(error):
             separation.is_separated_each(diamond6, A, B, bad)
+    # of several unknown labels, the one named is the one is_separated
+    # names, in either order of the set
+    unknown = ["aa2", "mm5", "zz1"]
+    for c in (low + unknown, unknown[::-1] + low):
+        with pytest.raises(UnknownVertex) as single:
+            is_separated(diamond6, SeparationQuery(A, B, c))
+        with pytest.raises(UnknownVertex) as each:
+            separation.is_separated_each(diamond6, A, B, [par, iter(c)])
+        assert str(each.value) == str(single.value)
 
 
 def test_words_entry_takes_membership_words(diamond6):
@@ -292,20 +301,22 @@ def test_words_entry_takes_membership_words(diamond6):
 def test_batched_answers_only_its_own_queries(collider_graph):
     # inside the block a covered query returns the batch's verdict object;
     # another set or another pair is decided as usual; the block always
-    # clears the graph's batch, also when the batch call raises
+    # clears the graph's batch, also when the batch call raises.  The sets
+    # are given by vertex mask and membership words.
     g, none, c = collider_graph, frozenset(), frozenset({"c"})
-    with separation.batched(g, "a", "b", [none]):
+    ia, ic = g.index["a"], g.index["c"]
+    with separation.batched(g, "a", "b", [0], {}):
         held = g.batch[2][0]
         assert is_separated(g, SeparationQuery("a", "b", none)) is held
         assert is_separated(g, SeparationQuery("a", "b", c)).witness is not None
         assert is_separated(g, SeparationQuery("b", "a", none)) is not held
     assert g.batch is None and held == SeparationVerdict(True, None)
     with pytest.raises(ValueError):
-        with separation.batched(g, "a", "b", [none, frozenset({"a"})]):
+        with separation.batched(g, "a", "b", [0, 1 << ia], {ia: 0b10}):
             pass
     assert g.batch is None
     with pytest.raises(KeyError):
-        with separation.batched(g, "a", "b", [c]):
+        with separation.batched(g, "a", "b", [1 << ic], {ic: 1}):
             raise KeyError("inside")
     assert g.batch is None
 
