@@ -38,7 +38,7 @@ CSV_HEADER = ["candidate_set", "l1", "l2", "l3", "shielder_off", "separated", "w
 MC_CSV_HEADER = ["query", "atoms_checked", "max_violation", "verdict"]
 _BOOL_TEXT = ("false", "true")  # a report's boolean column, indexed by the bool
 # window bounds of `lattice gen`: diamond imin..jmax, box kmin..mmax
-_BOUND_NAMES = ("imin", "imax", "jmin", "jmax", "kmin", "kmax", "mmin", "mmax")
+_BOUND_NAMES = sum(lat._WINDOW_KEYS.values(), ())
 
 
 def write_report(path, header: list[str], rows) -> None:

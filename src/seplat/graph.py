@@ -79,8 +79,7 @@ class MixedGraph:
 
     __slots__ = ("vertices", "directed", "bidirected", "_parents", "_children",
                  "_spouses", "_order", "_incident", "_directed_set",
-                 "_bidirected_set", "index", "adjacency", "ancestor_masks",
-                 "batch")
+                 "_bidirected_set", "index", "adjacency", "ancestor_masks")
 
     def __init__(self, vertices, directed, bidirected, parents, children,
                  spouses, order):
@@ -133,9 +132,6 @@ class MixedGraph:
         self.adjacency: tuple[tuple[tuple[tuple[int, int, str], ...], ...], ...] = \
             tuple(adjacency)
         self.ancestor_masks: tuple[int, ...] = tuple(masks)
-        # (a, b, {cond mask: verdict}) inside a separation.batched block,
-        # with a, b vertex indices
-        self.batch: tuple[int, int, dict] | None = None
 
     def __contains__(self, label: str) -> bool:
         return label in self._parents

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph
-from .separation import SeparationQuery, batched, is_separated
+from .separation import SeparationQuery, is_separated, is_separated_words
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -468,10 +468,10 @@ def _passes(fails: int, count: int) -> Iterator[bool]:
 
 def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
                   max_cells: int | None, budget: int
-                  ) -> tuple[tuple[str, ...], range, list[int],
+                  ) -> tuple[tuple[str, ...], int, list[int],
                              Iterator[tuple[tuple[str, ...], bool, bool, bool]]]:
     """The sweep kernel (module docstring), with shielding_sweep's checks:
-    (the pool's labels, the candidate sizes, each pool cell's membership
+    (the pool's labels, the candidate count, each pool cell's membership
     word, and shielding_sweep's stream of (labels, l1, l2, l3))."""
     _require_spacelike_pair(cell_a, cell_b)
     pool, parent_masks, boundary = _pool_index(cell_a, window)
@@ -496,7 +496,7 @@ def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
     labels = tuple(c.label for c in pool)
     regions = chain.from_iterable(combinations(labels, k) for k in sizes)
     verdicts = (_passes(fails, count) for fails in (l1_fails, l2_fails, l3_fails))
-    return labels, sizes, member, zip(regions, *verdicts)
+    return labels, count, member, zip(regions, *verdicts)
 
 
 def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
@@ -580,10 +580,10 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     The sweep kernel decides the geometry (module docstring), and its
     membership words, mapped to graph vertices, are the sets of one
     is_separated_words call that decides every candidate and builds the
-    witness of each connected one.  Each row still asks is_separated, which
-    answers from that call inside the batched block.  b is strictly
-    spacelike from a, so neither is in a's pool and each row's query is
-    made without rechecking.
+    witness of each connected one.  Each row still asks is_separated, with
+    a query that carries the row's verdict from that call's list.  b is
+    strictly spacelike from a, so neither is in a's pool and each row's
+    query is made without rechecking.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -592,18 +592,16 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     g = lattice_graph if lattice_graph is not None else build_graph(kind, window)
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
-    labels, sizes, member, items = _decide_sweep(cell_a, cell_b, window, variant,
+    labels, count, member, items = _decide_sweep(cell_a, cell_b, window, variant,
                                                  max_cells, budget)
     # every pool cell is in some set, unless the sweep is empty
-    vertices = labels if sizes else ()
+    vertices = labels if count else ()
     g.require(vertices)
-    vertex_bits = [1 << g.index[v] for v in vertices]
     words = {g.index[v]: word for v, word in zip(vertices, member)}
-    masks = chain.from_iterable(map(sum, combinations(vertex_bits, k)) for k in sizes)
+    verdicts = is_separated_words(g, a, b, count, words)
     rows = []
-    with batched(g, a, b, masks, words):
-        for region, l1, l2, l3 in items:
-            sep = is_separated(g, SeparationQuery._trusted(a, b, frozenset(region)))
-            rows.append(tuple.__new__(Prop1Row, (region, l1, l2, l3, l1 and l2 and l3,
-                                                 sep.separated, sep.witness)))
+    for (region, l1, l2, l3), verdict in zip(items, verdicts, strict=True):
+        sep = is_separated(g, SeparationQuery._decided(a, b, frozenset(region), verdict))
+        rows.append(tuple.__new__(Prop1Row, (region, l1, l2, l3, l1 and l2 and l3,
+                                             sep.separated, sep.witness)))
     return Prop1Report(variant, rows)

@@ -15,11 +15,10 @@ Three decision routes:
   what is_separated returns for each, witness included.  It checks each
   set as SeparationQuery and is_separated do, then hands the sets to
   is_separated_words as membership words, one per vertex, the form a
-  lattice sweep already holds.  Inside a batched(g, a, b, masks, words)
-  block, is_separated answers each of a sweep's queries from one such
-  call, so a sweep still asks is_separated row by row, where perfbench's
-  tracer counts the calls and its self-test flips a verdict, and no row
-  runs a search of its own.
+  lattice sweep already holds.  A sweep makes one such call and still
+  asks is_separated row by row, where perfbench's tracer counts the calls
+  and its self-test flips a verdict: each row's query carries its verdict
+  from that call's list, so no row runs a search of its own.
 
 The search.  Breadth-first reachability over integer states 2*v + head
 (vertex index, arrowhead on entry) on the graph's integer core (the
@@ -63,10 +62,9 @@ neighbors; bidirected edge ends count as arrowheads.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AdjacentVertices, InvalidPath, UnknownVertex
 from .graph import (
@@ -96,12 +94,16 @@ class SeparationQuery:
         if self.a in self.cond or self.b in self.cond:
             raise ValueError("query endpoints may not be conditioned on")
 
+    # the verdict of a query made by _decided, which is_separated returns
+    _verdict = None
+
     @classmethod
-    def _trusted(cls, a: str, b: str, cond: frozenset[str]) -> "SeparationQuery":
-        """A query whose caller has already checked that a != b and that
-        neither is in cond, made without __post_init__'s checks."""
+    def _decided(cls, a: str, b: str, cond: frozenset[str],
+                 verdict: "SeparationVerdict") -> "SeparationQuery":
+        """A query that carries its verdict, made without __post_init__'s
+        checks by a caller whose is_separated_words call decided it."""
         q = object.__new__(cls)
-        q.__dict__.update(a=a, b=b, cond=cond)
+        q.__dict__.update(a=a, b=b, cond=cond, _verdict=verdict)
         return q
 
 
@@ -208,9 +210,11 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     witness is its first active walk to b (module docstring).
 
     Agrees with is_separated_oracle on every input; the witness is
-    deterministic.  Inside batched(g, ...), a query it covers takes its
-    verdict from there.
+    deterministic.  A query made by SeparationQuery._decided returns the
+    verdict it carries.
     """
+    if q._verdict is not None:
+        return q._verdict
     index = g.index
     try:
         a, b = index[q.a], index[q.b]
@@ -219,11 +223,6 @@ def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
             cond_mask |= 1 << index[v]
     except KeyError as exc:
         raise UnknownVertex(f"unknown vertex {exc.args[0]!r}") from None
-    batch = g.batch
-    if batch is not None and batch[0] == a and batch[1] == b:
-        verdict = batch[2].get(cond_mask)
-        if verdict is not None:
-            return verdict
     witness = _search(g, q, a, b, cond_mask)
     return SeparationVerdict(witness is None, witness)
 
@@ -337,7 +336,7 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
     witness included, by one bit-parallel search (module docstring).
 
     ValueError when a == b or an endpoint is in a set; UnknownVertex for an
-    unknown endpoint.
+    unknown endpoint or a word key that is no vertex index.
 
     Bit r of every word of the search stands for set r: in_cond[v] holds
     the sets with v in them and in_anc[v] those with v in their inclusive
@@ -359,6 +358,8 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
     every = (1 << n) - 1
     in_cond = [0] * len(adjacency)
     for v, word in words.items():
+        if not 0 <= v < len(in_cond):
+            raise UnknownVertex(f"unknown vertex index {v!r}")
         in_cond[v] = word
     # open colliders: a vertex is open for cond iff it or a descendant is in it
     in_anc = in_cond[:]
@@ -432,26 +433,6 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
                     step.append((nxt, x, verts + (w,), kinds + (kind,)))
         frontier = step
     return verdicts
-
-
-@contextmanager
-def batched(g: MixedGraph, a: str, b: str, masks: Iterable[int],
-            words: dict[int, int]) -> Iterator[None]:
-    """Within the block, is_separated(g, SeparationQuery(a, b, c)) for each
-    set c returns the verdict of one is_separated_words call, which is the
-    verdict it would compute.  Raises what is_separated_words raises.
-
-    The sets are those of the membership words (is_separated_words), and
-    masks yields each set's vertex mask in set order, as a lattice sweep
-    holds them.  The verdicts are keyed by vertex mask: a frozenset per set
-    would double a large sweep's peak memory."""
-    masks = list(masks)
-    held = dict(zip(masks, is_separated_words(g, a, b, len(masks), words)))
-    g.batch = (g.index[a], g.index[b], held)
-    try:
-        yield
-    finally:
-        g.batch = None
 
 
 def _checked_witness(labels, verts, kinds, word, in_cond, in_anc) -> Path:

@@ -5,7 +5,7 @@ import pytest
 from conftest import LOW_SET, PAR_A
 from seplat import separation
 from seplat.errors import AdjacentVertices, InvalidPath
-from seplat.graph import Path, build_graph, format_path, simple_paths
+from seplat.graph import MixedGraph, Path, build_graph, format_path, simple_paths
 from seplat.lattice import BOX, DIAMOND, L3C, Cell, Window, prop1_sweep
 from seplat.lattice import build_graph as build_lattice_graph
 from seplat.markov import latent_expansion
@@ -210,7 +210,8 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
 
 def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkeypatch):
     # criterion 13's sweep: one is_separated_words call decides every row,
-    # and each row's is_separated answers from it without a search
+    # and each row's is_separated returns the verdict its query carries
+    # from that call, without a search
     import seplat.lattice
 
     calls = []
@@ -223,7 +224,7 @@ def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkey
             return fn(*args)
         monkeypatch.setattr(module, name, counted)
 
-    spy(separation, "is_separated_words")
+    spy(seplat.lattice, "is_separated_words")
     spy(separation, "_search")
     spy(seplat.lattice, "is_separated")
     rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
@@ -231,10 +232,12 @@ def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkey
     monkeypatch.undo()
     assert (rep.total, sum(not r.separated for r in rep.rows)) == (9401, 8775)
     assert calls == ["is_separated_words"] + ["is_separated"] * 9401
-    assert diamond6.batch is None
+    # the graph holds no sweep state: every slot equals a fresh build's
+    fresh = build_lattice_graph(DIAMOND, Window(0, 5, 0, 5))
+    assert all(getattr(diamond6, s) == getattr(fresh, s) for s in MixedGraph.__slots__)
 
-    # outside the block each row's query runs exactly one search, which
-    # returns the row's verdict and witness
+    # a plain query of each row runs exactly one search, which returns the
+    # row's verdict and witness
     search, searched = separation._search, []
 
     def search_spy(g, q, a, b, cond_mask):
@@ -276,9 +279,10 @@ def test_batch_takes_any_iterable_per_set(diamond6):
         assert str(each.value) == str(single.value)
 
 
-def test_words_entry_takes_membership_words(diamond6):
+def test_words_entry_takes_membership_words(diamond6, collider_graph):
     # bit r of words[v] marks vertex index v as a member of set r; a vertex
-    # without a word, or with a zero word, is in no set
+    # without a word, or with a zero word, is in no set; a key that is no
+    # vertex index names no vertex, also where Python indexing would wrap
     from seplat.errors import UnknownVertex
 
     conds = [sorted(LOW_SET), sorted(PAR_A), [], sorted(LOW_SET | PAR_A)]
@@ -291,34 +295,13 @@ def test_words_entry_takes_membership_words(diamond6):
     words[diamond6.index[A]] = 0
     assert separation.is_separated_words(diamond6, A, B, len(conds), words) == want
     assert separation.is_separated_words(diamond6, A, B, 0, {}) == []
-    for a, b, bad, error in ((A, B, diamond6.index[B], ValueError),
-                             (A, A, None, ValueError),
-                             (A, "nowhere", None, UnknownVertex)):
+    for g, a, b, bad, error in ((diamond6, A, B, diamond6.index[B], ValueError),
+                                (diamond6, A, A, None, ValueError),
+                                (diamond6, A, "nowhere", None, UnknownVertex),
+                                (collider_graph, "a", "b", -1, UnknownVertex),
+                                (collider_graph, "a", "b", 7, UnknownVertex)):
         with pytest.raises(error):
-            separation.is_separated_words(diamond6, a, b, 1, {} if bad is None else {bad: 1})
-
-
-def test_batched_answers_only_its_own_queries(collider_graph):
-    # inside the block a covered query returns the batch's verdict object;
-    # another set or another pair is decided as usual; the block always
-    # clears the graph's batch, also when the batch call raises.  The sets
-    # are given by vertex mask and membership words.
-    g, none, c = collider_graph, frozenset(), frozenset({"c"})
-    ia, ic = g.index["a"], g.index["c"]
-    with separation.batched(g, "a", "b", [0], {}):
-        held = g.batch[2][0]
-        assert is_separated(g, SeparationQuery("a", "b", none)) is held
-        assert is_separated(g, SeparationQuery("a", "b", c)).witness is not None
-        assert is_separated(g, SeparationQuery("b", "a", none)) is not held
-    assert g.batch is None and held == SeparationVerdict(True, None)
-    with pytest.raises(ValueError):
-        with separation.batched(g, "a", "b", [0, 1 << ia], {ia: 0b10}):
-            pass
-    assert g.batch is None
-    with pytest.raises(KeyError):
-        with separation.batched(g, "a", "b", [1 << ic], {ic: 1}):
-            raise KeyError("inside")
-    assert g.batch is None
+            separation.is_separated_words(g, a, b, 1, {} if bad is None else {bad: 1})
 
 
 def test_no_proper_subset_of_a_minimal_separator_separates():
