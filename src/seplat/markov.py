@@ -294,52 +294,77 @@ def random_cpts(g: MixedGraph, seed: int) -> CptSet:
 _FOLD_BLOCK_AXES = 9
 
 
-def _fold_new_last_axis(table: np.ndarray, axis: int, scope: list[int],
-                        parents: list[int], halves: tuple) -> np.ndarray:
-    """The product of table (size-2 axes: scope) with the factor of the
-    vertex at axis, which follows every axis of the scope and whose parents
-    lie in it.  halves are the factor for the vertex's values 0 and 1."""
-    k = len(scope)
-    old = table.reshape((2,) * k)
-    shape = list(table.shape)
-    shape[axis] = 2
-    new = np.empty(shape)
-    out = new.reshape((2,) * (k + 1))
-    start = max(0, k - _FOLD_BLOCK_AXES)
-    fshape = [2 if a in parents else 1 for a in scope]
-    block = fshape[:start] + [2] * (k - start)
-    for value, half in enumerate(halves):
-        factor = np.broadcast_to(half.reshape(fshape), block).copy()
-        np.multiply(old, factor, out=out[..., value])
-    return new
-
-
-def _fold(table: np.ndarray, steps: Iterable[tuple]) -> np.ndarray:
-    """Multiply table by the factor of each step in turn.
+def _plan(shape: tuple[int, ...], steps: Iterable[tuple]) -> list[tuple]:
+    """The factors of each step in turn for a table of the given shape, made
+    before any is multiplied in by _apply: a (kind, shape after the step,
+    factors) per step.  A table axis of size 1 is one no factor has reached.
 
     A step is (axis, parents, halves): the vertex's table axis, its
     parents' axes in ascending order, and its factor for each of its values,
     one array axis per parent.  A vertex fixed at one value has axis None,
-    and halves holds only the factor of that value.  A table axis of size 1
-    is one no factor has reached yet.
+    and halves holds only the factor of that value.  A vertex that is new,
+    follows every axis of the scope and has its parents in it (every step
+    of a topological order, such as diamond labels with coordinates below
+    10) "append"s a new last axis, written as its two halves, one
+    np.multiply per value, each reading the old table and a factor block
+    expanded over its last 9 axes, so the inner loop runs over 2^9 atoms.
+    Any other step (a parent outside the scope, which an order that is not
+    topological allows: box latents sort after their children) is a
+    "broadcast" product, done "in_place" when the scope does not grow.
     """
+    plan = []
     for axis, parents, halves in steps:
-        scope = [i for i, size in enumerate(table.shape) if size == 2]
-        parents_in_scope = set(parents) <= set(scope)
+        scope = [i for i, size in enumerate(shape) if size == 2]
         if axis is None:
             factor, axes = halves[0], parents
-        elif parents_in_scope and axis > max(scope, default=-1):
-            table = _fold_new_last_axis(table, axis, scope, parents, halves)
+        elif set(parents) <= set(scope) and axis > max(scope, default=-1):
+            start = max(0, len(scope) - _FOLD_BLOCK_AXES)
+            fshape = [2 if a in parents else 1 for a in scope]
+            block = fshape[:start] + [2] * (len(scope) - start)
+            shape = shape[:axis] + (2,) + shape[axis + 1:]
+            plan.append(("append", shape, [np.broadcast_to(half.reshape(fshape), block).copy()
+                                           for half in halves]))
             continue
         else:
             factor = np.stack(halves, axis=sum(p < axis for p in parents))
             axes = sorted([axis, *parents])
-        factor = factor.reshape([2 if i in axes else 1 for i in range(table.ndim)])
-        if set(axes) <= set(scope):
-            np.multiply(table, factor, out=table)
+        factor = factor.reshape([2 if i in axes else 1 for i in range(len(shape))])
+        kind = "in_place" if set(axes) <= set(scope) else "broadcast"
+        shape = np.broadcast_shapes(shape, factor.shape)
+        plan.append((kind, shape, factor))
+    return plan
+
+
+def _apply(table: np.ndarray, plan: list[tuple]) -> np.ndarray:
+    """table times the factors of each step of plan, a _plan for its shape."""
+    for kind, shape, factors in plan:
+        if kind == "append":
+            k = factors[0].ndim
+            new = np.empty(shape)
+            old, out = table.reshape((2,) * k), new.reshape((2,) * (k + 1))
+            for value, factor in enumerate(factors):
+                np.multiply(old, factor, out=out[..., value])
+            table = new
+        elif kind == "in_place":
+            np.multiply(table, factors, out=table)
         else:
-            table = table * factor
+            table = table * factors
     return table
+
+
+def _tail_plan(steps: list[tuple], fixed: list[int], shape: tuple[int, ...]) -> list[tuple]:
+    """_plan of the steps that continue the fold of the group whose leading
+    axes take the values fixed from its row of the head, of the given
+    shape: each CPT sliced at the group's values of its leading parents, a
+    leading vertex's factor taken at its value."""
+    lead, tail = len(fixed), []
+    for axis, parents, halves in steps:
+        at = tuple(fixed[p] if p < lead else slice(None) for p in parents)
+        halves = tuple(half[at] for half in halves)
+        free = [p - lead for p in parents if p >= lead]
+        tail.append((None, free, (halves[fixed[axis]],)) if axis < lead
+                    else (axis - lead, free, halves))
+    return _plan(shape, tail)
 
 
 def _cpt_steps(verts: tuple[str, ...], cpts: CptSet) -> list[tuple]:
@@ -362,24 +387,15 @@ def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
     into a table whose scope grows; a vertex no factor has reached yet is a
     size-1 axis, so step k costs 2^|scope_k| atoms, not 2^n.  The longest
     prefix of the steps whose scope stays within _HEAD_AXES axes is folded
-    once, into the head; with lead 0 every step is, and the head is the
-    group, so no head is held beside the group's last step.  Each group
-    continues the fold from its row of the head (the head at the group's
-    values), with the other CPTs sliced at the group's values of their
-    parents; a vertex among the leading axes multiplies by its factor at its
-    value.  No table is larger than the head or one group.
-
-    When the vertex is new and follows every axis of the scope, and its
-    parents are in the scope (every step of a topological order, such as
-    diamond labels with coordinates below 10), the new table is written as
-    its two halves, one np.multiply per value of the vertex, each reading
-    the old table and a factor block expanded over its last 9 axes, so the
-    inner loop runs over 2^9 atoms; the halves are stride-2 views of the
-    new table.  Peak memory is then the old table plus the new one, 1.5
-    times the group, plus factor blocks of 2^(9 + parents) atoms.  Any
-    other step (a parent outside the scope, which an order that is not
-    topological allows: box latents sort after their children) is a
-    broadcast product, done in place when the scope does not grow.
+    once into the head, each step planned (_plan) just before it is
+    applied; with lead 0 every step is, and the head is the group, so no
+    head is held beside the group's last step.  Each group continues the
+    fold from a copy of its row of the head (the head at the group's
+    values) by a _tail_plan, which depends on the group only through the
+    leading axes the tail reads: it is made once per assignment of those
+    axes and reused by every group with it, once in all for a tail that
+    reads none.  Peak memory is a step's old table plus its new one (1.5
+    times the group on a topological order), the head and the factors.
     """
     steps = _cpt_steps(verts, cpts)
     scope: set[int] = set()
@@ -389,21 +405,20 @@ def _joint_groups(verts: tuple[str, ...], cpts: CptSet,
             break
     else:
         h = len(steps)
-    head = _fold(np.ones((1,) * len(verts)), steps[:h])
+    head = np.ones((1,) * len(verts))
+    for step in steps[:h]:
+        head = _apply(head, _plan(head.shape, [step]))
+    tail = steps[h:]
+    reads = sorted({p for axis, parents, _ in tail for p in (axis, *parents) if p < lead})
+    plans: dict[tuple[int, ...], list[tuple]] = {}
     for group in range(2 ** lead):
         fixed = [group >> (lead - 1 - i) & 1 for i in range(lead)]
-        tail = []
-        for axis, parents, halves in steps[h:]:
-            at = tuple(fixed[p] if p < lead else slice(None) for p in parents)
-            halves = tuple(half[at] for half in halves)
-            free = [p - lead for p in parents if p >= lead]
-            if axis < lead:
-                tail.append((None, free, (halves[fixed[axis]],)))
-            else:
-                tail.append((axis - lead, free, halves))
-        # the fold may multiply its table in place, and a later group reads the head
+        key = tuple(fixed[i] for i in reads)
+        if key not in plans:
+            plans[key] = _tail_plan(tail, fixed, head.shape[lead:])
+        # a plan may multiply its table in place, and a later group reads the head
         row = head[tuple(x if size == 2 else 0 for x, size in zip(fixed, head.shape))]
-        yield _fold(row.copy() if lead else row, tail).reshape(-1)
+        yield _apply(row.copy() if lead else row, plans[key]).reshape(-1)
 
 
 def ancestral_closure(dag: MixedGraph, targets: Iterable[str],

@@ -336,7 +336,7 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
     witness included, by one bit-parallel search (module docstring).
 
     ValueError when a == b or an endpoint is in a set; UnknownVertex for an
-    unknown endpoint or a word key that is no vertex index.
+    unknown endpoint or a word key that is no vertex index, for n = 0 too.
 
     Bit r of every word of the search stands for set r: in_cond[v] holds
     the sets with v in them and in_anc[v] those with v in their inclusive
@@ -345,8 +345,6 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
     through a head, a move whose edge also has a head at v, making v a
     collider, is allowed for in_anc[v].
     """
-    if not n:
-        return []
     index, adjacency = g.index, g.adjacency
     if a == b:
         raise ValueError("query endpoints must differ")
@@ -354,13 +352,15 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
     start, goal = 2 * index[a], index[b]
     if words.get(start >> 1) or words.get(goal):
         raise ValueError("query endpoints may not be conditioned on")
-
-    every = (1 << n) - 1
     in_cond = [0] * len(adjacency)
     for v, word in words.items():
         if not 0 <= v < len(in_cond):
             raise UnknownVertex(f"unknown vertex index {v!r}")
         in_cond[v] = word
+    if not n:
+        return []
+
+    every = (1 << n) - 1
     # open colliders: a vertex is open for cond iff it or a descendant is in it
     in_anc = in_cond[:]
     for label in reversed(topological_order(g)):

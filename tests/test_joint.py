@@ -77,16 +77,18 @@ def test_fold_broadcasts_when_a_parent_sorts_later(monkeypatch):
     # a new last axis with its parent in the scope
     dag = build_graph(["v8", "v9", "v10", "w"],
                       [("v8", "v9"), ("v9", "v10"), ("v10", "w")])
-    folded = []
-    original = markov._fold_new_last_axis
+    kinds = []
+    original = markov._plan
 
-    def record(table, axis, *rest):
-        folded.append(axis)
-        return original(table, axis, *rest)
+    def record(shape, steps):
+        steps = list(steps)
+        plan = original(shape, steps)
+        kinds.extend((axis, kind) for (axis, _, _), (kind, _, _) in zip(steps, plan))
+        return plan
 
-    monkeypatch.setattr(markov, "_fold_new_last_axis", record)
+    monkeypatch.setattr(markov, "_plan", record)
     assert_same_bits(dag, markov.random_cpts(dag, 5))
-    assert folded == [3]
+    assert kinds == [(0, "broadcast"), (1, "broadcast"), (2, "in_place"), (3, "append")]
 
 
 def test_box_latents_multiply_in_place():
@@ -199,6 +201,55 @@ def assert_streamed_bits(dag, cpts, targets, head_axes, group_axes):
     assert got.vars == tuple(sorted(targets))
     assert got.table.reshape(-1).tobytes() == want.tobytes()
     return got
+
+
+def streamed_tail_plans(dag, cpts, targets, head_axes, group_axes):
+    """assert_streamed_bits, and how many groups took each tail plan that
+    _joint_groups made, in the order the plans were made."""
+    plans, uses = [], []
+    make, apply = markov._tail_plan, markov._apply
+
+    def planned(*args):
+        plans.append(make(*args))
+        uses.append(0)
+        return plans[-1]
+
+    def applied(table, plan):
+        for i, made in enumerate(plans):
+            uses[i] += made is plan
+        return apply(table, plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "_tail_plan", planned)
+        mp.setattr(markov, "_apply", applied)
+        assert_streamed_bits(dag, cpts, targets, head_axes, group_axes)
+    return uses
+
+
+def test_soundness_margin_streams_every_group_from_one_tail_plan(soundness_closures):
+    # the one margin of `mc soundness` on the 6x6 diamond: 21 vertices, so
+    # 5 leading axes and 32 groups.  Its tail (the last 5 steps, in
+    # topological label order) reads no leading axis, so every group is
+    # continued by the same factors
+    dag, closures, _, [(trial, targets)] = soundness_closures
+    cpts = markov.random_cpts(dag, trial)
+    uses = streamed_tail_plans(dag, cpts, targets, markov._HEAD_AXES, markov._BLOCK_AXES)
+    assert uses == [32]
+
+
+@pytest.mark.parametrize("head_axes, uses", [(4, [2] * 8), (0, [1] * 16)])
+def test_tail_plans_follow_the_leading_axes_the_tail_reads(head_axes, uses):
+    # sorted order v0..v5, w0, w1; with 4-axis groups the leading axes are
+    # v0..v3.  A 4-axis head folds v0..v3, and the tail v4, v5, w0, w1
+    # reads the leading axes v3, v0 and v1 (parents of v4, w0 and w1): 2^3
+    # plans, each taken by the 2 groups that differ only in v2.  With no
+    # head the tail is every step, which reads all 4 leading axes: one plan
+    # per group
+    verts = [f"v{i}" for i in range(6)]
+    dag = build_graph(verts + ["w0", "w1"],
+                      list(zip(verts, verts[1:])) + [("v0", "w0"), ("v1", "w1")])
+    cpts = markov.random_cpts(dag, 4)
+    assert streamed_tail_plans(dag, cpts, {"v5", "w0", "w1"}, head_axes, 4) == uses
 
 
 def head_and_group_axes(n_vertices):

@@ -304,6 +304,24 @@ def test_words_entry_takes_membership_words(diamond6, collider_graph):
             separation.is_separated_words(g, a, b, 1, {} if bad is None else {bad: 1})
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_words_entry_checks_its_input_for_no_sets_too(collider_graph, n):
+    # an empty sweep still names its endpoints and its words' vertices, so
+    # n = 0 is checked as n = 1 is, before the empty answer
+    from seplat.errors import UnknownVertex
+
+    g = collider_graph
+    for a, b, words, error in (("a", "a", {}, ValueError),
+                               ("a", "nowhere", {}, UnknownVertex),
+                               ("nowhere", "b", {}, UnknownVertex),
+                               ("a", "b", {g.index["a"]: 1}, ValueError),
+                               ("a", "b", {7: 1}, UnknownVertex),
+                               ("a", "b", {-1: 1}, UnknownVertex)):
+        with pytest.raises(error):
+            separation.is_separated_words(g, a, b, n, words)
+    assert separation.is_separated_words(g, "a", "b", 0, {g.index["c"]: 0}) == []
+
+
 def test_no_proper_subset_of_a_minimal_separator_separates():
     # inclusion-minimality checked over every proper subset with the
     # simple-path oracle, which shares no code with the greedy pass
