@@ -19,9 +19,10 @@ from .errors import BudgetExceeded, SeparatedInput, SeplatError
 from .graph import (
     MixedGraph,
     Path,
+    build_graph,
     format_path,
-    graph_from_json_dict,
     graph_to_json_dict,
+    read_graph_document,
     split_labels,
 )
 from .separation import (
@@ -153,11 +154,17 @@ def dot_text(g: MixedGraph) -> str:
 
 
 def _load_graph(path: str) -> tuple[MixedGraph, str, lat.Window | None]:
+    """The document's graph, kind and window.  A lattice document is checked
+    against the graph of its window, which is the one graph built."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    g, kind, wdict = graph_from_json_dict(doc)
-    window = lat.window_from_dict(kind, wdict) if (wdict and kind != "abstract") else None
-    if window is not None and g != lat.build_graph(kind, window):
+    vertices, directed, bidirected, kind, wdict = read_graph_document(doc)
+    if not wdict or kind == "abstract":
+        return build_graph(vertices, directed, bidirected), kind, None
+    window = lat.window_from_dict(kind, wdict)
+    g = lat.build_graph(kind, window)
+    if (sorted(vertices) != list(g.vertices) or sorted(directed) != list(g.directed)
+            or sorted(tuple(sorted(e)) for e in bidirected) != list(g.bidirected)):
         raise ValueError(f"graph does not match the {kind} lattice of its window")
     return g, kind, window
 

@@ -9,8 +9,7 @@ so exports and test fixtures are byte-stable.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CycleError,
@@ -35,27 +34,22 @@ DESCENDANTS = "descendants"
 COLLATERALS = "collaterals"
 
 
-@dataclass(frozen=True)
-class Path:
-    """A simple path: n vertices joined by n-1 edges of known kind.  Its
-    hash is computed once, since report writers key by witness."""
+class Path(NamedTuple("Path", [("vertices", tuple[str, ...]), ("edges", tuple[str, ...])])):
+    """A simple path: n vertices joined by n-1 edges of known kind, as the
+    tuple (vertices, edges), checked when made.  Its hash is the tuple's,
+    not cached; a sweep shares one Path per distinct witness."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2 or len(self.edges) != len(self.vertices) - 1:
+    def __new__(cls, vertices: tuple[str, ...], edges: tuple[str, ...]) -> "Path":
+        if len(vertices) < 2 or len(edges) != len(vertices) - 1:
             raise InvalidPath("path needs >= 1 edge and matching edge list")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise InvalidPath("path repeats a vertex")
-        for kind in self.edges:
+        for kind in edges:
             if kind not in _KIND_RANK:
                 raise InvalidPath(f"unknown edge kind {kind!r}")
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (vertices, edges))
 
     def __str__(self) -> str:
         return format_path(self)
@@ -370,7 +364,16 @@ def graph_to_json_dict(g: MixedGraph, kind: str = "abstract",
 
 
 def graph_from_json_dict(doc: dict) -> tuple[MixedGraph, str, dict | None]:
-    """Rebuild (graph, kind, window dict or None) from a JSON document.
+    """Rebuild (graph, kind, window dict or None) from a JSON document,
+    read by read_graph_document."""
+    vertices, directed, bidirected, kind, window = read_graph_document(doc)
+    return build_graph(vertices, directed, bidirected), kind, window
+
+
+def read_graph_document(doc: dict) -> tuple[list[str], list[tuple[str, str]],
+                                            list[tuple[str, str]], str, dict | None]:
+    """(vertices, directed, bidirected, kind, window dict or None) of a JSON
+    graph document, as listed there; no graph is built.
 
     Raises InvalidPath unless vertices is a list of strings, every edge a
     two-element list of strings and every window bound an integer.
@@ -388,8 +391,7 @@ def graph_from_json_dict(doc: dict) -> tuple[MixedGraph, str, dict | None]:
     if window is not None and not (isinstance(window, dict) and all(
             isinstance(x, int) and not isinstance(x, bool) for x in window.values())):
         raise InvalidPath("malformed graph document: window bounds must be integers")
-    g = build_graph(vertices, directed, bidirected)
-    return g, kind, dict(window) if window is not None else None
+    return vertices, directed, bidirected, kind, dict(window) if window is not None else None
 
 
 def _document_field(doc: dict, key: str):

@@ -47,7 +47,6 @@ that pass on a sweep of one candidate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
@@ -56,7 +55,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph
-from .separation import SeparationQuery, is_separated, is_separated_words
+from .separation import DecidedQuery, is_separated, is_separated_words
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -78,13 +77,13 @@ _PREFIX = {DIAMOND: "d", BOX: "b"}
 _KIND_OF_PREFIX = {"d": DIAMOND, "b": BOX}
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    """One lattice cell; (a, b) is (i, j) for diamonds and (k, m) for boxes."""
+class Cell(NamedTuple("Cell", [("kind", str), ("a", int), ("b", int)])):
+    """One lattice cell; (a, b) is (i, j) for diamonds and (k, m) for boxes.
+    A tuple, so cells sort by (kind, a, b); it keeps an instance dict only
+    for its cached label and cone."""
 
-    kind: str
-    a: int
-    b: int
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: cells are immutable")
 
     @cached_property
     def label(self) -> str:
@@ -110,18 +109,16 @@ def parse_cell(label: str) -> Cell:
     return cell
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple("Window", [("a_min", int), ("a_max", int),
+                                   ("b_min", int), ("b_max", int)])):
     """Inclusive integer bounds on both cell coordinates."""
 
-    a_min: int
-    a_max: int
-    b_min: int
-    b_max: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a_max < self.a_min or self.b_max < self.b_min:
+    def __new__(cls, a_min: int, a_max: int, b_min: int, b_max: int) -> "Window":
+        if a_max < a_min or b_max < b_min:
             raise ValueError("window bounds are empty")
+        return tuple.__new__(cls, (a_min, a_max, b_min, b_max))
 
     def contains(self, c: Cell) -> bool:
         return self.a_min <= c.a <= self.a_max and self.b_min <= c.b <= self.b_max
@@ -153,19 +150,18 @@ def window_from_dict(kind: str, d: dict) -> Window:
     return Window(*(int(d[k]) for k in keys))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple("Region", [("kind", str), ("cells", frozenset[Cell])])):
     """A finite nonempty union of cells of one kind."""
 
-    kind: str
-    cells: frozenset[Cell]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __new__(cls, kind: str, cells: frozenset[Cell]) -> "Region":
+        if not cells:
             raise ValueError("regions are nonempty")
-        for c in self.cells:
-            if c.kind != self.kind:
-                raise KindMismatch(f"cell {c.label} in a {self.kind} region")
+        for c in cells:
+            if c.kind != kind:
+                raise KindMismatch(f"cell {c.label} in a {kind} region")
+        return tuple.__new__(cls, (kind, cells))
 
     @classmethod
     def of(cls, cells: Iterable[Cell]) -> "Region":
@@ -185,8 +181,7 @@ def parse_region(literal: str) -> Region:
     return Region.of(parse_cell(p) for p in graph_mod.split_labels(literal))
 
 
-@dataclass(frozen=True)
-class ShieldVerdict:
+class ShieldVerdict(NamedTuple):
     l1: bool
     l2: bool
     l3: bool
@@ -553,10 +548,14 @@ class Prop1Row(NamedTuple):
     witness: graph_mod.Path | None
 
 
-@dataclass
 class Prop1Report:
-    variant: str
-    rows: list[Prop1Row]
+    """A sweep's rows, in the order shielding_sweep yields the candidates."""
+
+    __slots__ = ("variant", "rows")
+
+    def __init__(self, variant: str, rows: list[Prop1Row]) -> None:
+        self.variant = variant
+        self.rows = rows
 
     @property
     def total(self) -> int:
@@ -581,9 +580,9 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     membership words, mapped to graph vertices, are the sets of one
     is_separated_words call that decides every candidate and builds the
     witness of each connected one.  Each row still asks is_separated, with
-    a query that carries the row's verdict from that call's list.  b is
-    strictly spacelike from a, so neither is in a's pool and each row's
-    query is made without rechecking.
+    a DecidedQuery tuple (a, b, region, the row's verdict from that call's
+    list).  b is strictly spacelike from a, so neither is in a's pool and
+    each row's query is made without rechecking.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -601,7 +600,7 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     verdicts = is_separated_words(g, a, b, count, words)
     rows = []
     for (region, l1, l2, l3), verdict in zip(items, verdicts, strict=True):
-        sep = is_separated(g, SeparationQuery._decided(a, b, frozenset(region), verdict))
+        sep = is_separated(g, tuple.__new__(DecidedQuery, (a, b, region, verdict)))
         rows.append(tuple.__new__(Prop1Row, (region, l1, l2, l3, l1 and l2 and l3,
                                              sep.separated, sep.witness)))
     return Prop1Report(variant, rows)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,22 +31,21 @@ from .separation import SeparationQuery, is_separated
 # CPTs and distributions
 
 
-@dataclass(frozen=True)
-class VertexCpt:
+class VertexCpt(NamedTuple("VertexCpt", [("parents", tuple[str, ...]), ("p1", np.ndarray)])):
     """P(v = 1 | parents); p1 has one axis per parent in sorted label order."""
 
-    parents: tuple[str, ...]
-    p1: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if list(self.parents) != sorted(set(self.parents)):
-            raise ValueError(f"parents {self.parents} are not distinct and sorted")
-        expected = (2,) * len(self.parents)
-        if tuple(self.p1.shape) != expected:
-            raise ValueError(f"p1 shape {self.p1.shape} != {expected}")
+    def __new__(cls, parents: tuple[str, ...], p1: np.ndarray) -> "VertexCpt":
+        if list(parents) != sorted(set(parents)):
+            raise ValueError(f"parents {parents} are not distinct and sorted")
+        expected = (2,) * len(parents)
+        if tuple(p1.shape) != expected:
+            raise ValueError(f"p1 shape {p1.shape} != {expected}")
         # written so that NaN, which fails every comparison, is rejected too
-        if not np.all((self.p1 >= 0.0) & (self.p1 <= 1.0)):
+        if not np.all((p1 >= 0.0) & (p1 <= 1.0)):
             raise ValueError("CPT entries must be finite and lie in [0, 1]")
+        return tuple.__new__(cls, (parents, p1))
 
 
 def _bit_keys(k: int) -> list[str]:
@@ -55,11 +53,13 @@ def _bit_keys(k: int) -> list[str]:
     return [format(idx, f"0{k}b") if k else "" for idx in range(2 ** k)]
 
 
-@dataclass
 class CptSet:
     """Conditional probability tables for every vertex of a DAG."""
 
-    tables: dict[str, VertexCpt] = field(default_factory=dict)
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: dict[str, VertexCpt] | None = None) -> None:
+        self.tables = {} if tables is None else tables
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.tables))
@@ -215,23 +215,23 @@ class Distribution:
         return Distribution._built(keep, table.reshape((2,) * len(keep)))
 
 
-@dataclass(frozen=True)
-class EventRef:
+class EventRef(NamedTuple("EventRef",
+                          [("vertices", tuple[str, ...]), ("values", tuple[int, ...])])):
     """A cylinder event: fixed values on a vertex set."""
 
-    vertices: tuple[str, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.values):
+    def __new__(cls, vertices: tuple[str, ...], values: tuple[int, ...]) -> "EventRef":
+        if len(vertices) != len(values):
             raise ValueError("vertex/value length mismatch")
         # bool is an int subclass, so True and False are named here
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-               or v not in (0, 1) for v in self.values):
+               or v not in (0, 1) for v in values):
             raise ValueError("values must be the integers 0 or 1")
-        for v in self.vertices:
-            if self.vertices.count(v) > 1:
+        for v in vertices:
+            if vertices.count(v) > 1:
                 raise ValueError(f"vertex {v!r} appears more than once in the event")
+        return tuple.__new__(cls, (vertices, values))
 
     @classmethod
     def single(cls, vertex: str, value: int = 1) -> "EventRef":
@@ -539,10 +539,13 @@ def ci_violation(d: Distribution, a: EventRef, b: EventRef,
 # Causal Markov Condition
 
 
-@dataclass
 class CmcReport:
-    checked: int = 0
-    violations: list[tuple[str, str, float]] = field(default_factory=list)
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: int = 0,
+                 violations: list[tuple[str, str, float]] | None = None) -> None:
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -576,8 +579,7 @@ def check_cmc(d: Distribution, dag: MixedGraph, tol: float = 1e-9) -> CmcReport:
 # Local causality (screening-off over shielder-off regions)
 
 
-@dataclass(frozen=True)
-class ScreeningCheck:
+class ScreeningCheck(NamedTuple):
     pair: tuple[str, str]
     region: tuple[str, ...]
     atoms: int
@@ -585,15 +587,17 @@ class ScreeningCheck:
     passed: bool
 
 
-@dataclass
 class LocalCausalityReport:
     """Screening-off audit of one probe pair: the pair's unconditioned
     correlation gap and one check per shielder-off region."""
-    a: str
-    b: str
-    correlated: bool
-    correlation_gap: float
-    checks: list[ScreeningCheck] = field(default_factory=list)
+
+    __slots__ = ("a", "b", "correlated", "correlation_gap", "checks")
+
+    def __init__(self, a: str, b: str, correlated: bool, correlation_gap: float,
+                 checks: list[ScreeningCheck] | None = None) -> None:
+        self.a, self.b = a, b
+        self.correlated, self.correlation_gap = correlated, correlation_gap
+        self.checks = [] if checks is None else checks
 
     @property
     def regions_checked(self) -> int:

@@ -17,8 +17,10 @@ Three decision routes:
   is_separated_words as membership words, one per vertex, the form a
   lattice sweep already holds.  A sweep makes one such call and still
   asks is_separated row by row, where perfbench's tracer counts the calls
-  and its self-test flips a verdict: each row's query carries its verdict
-  from that call's list, so no row runs a search of its own.
+  and its self-test flips a verdict.  Each row's query is a DecidedQuery,
+  a plain tuple (a, b, region labels, verdict from that call's list): no
+  row runs a search or a check of its own, and its cond frozenset is made
+  only when something reads it.
 
 The search.  Breadth-first reachability over integer states 2*v + head
 (vertex index, arrowhead on entry) on the graph's integer core (the
@@ -62,9 +64,8 @@ neighbors; bidirected edge ends count as arrowheads.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import AdjacentVertices, InvalidPath, UnknownVertex
 from .graph import (
@@ -78,39 +79,41 @@ from .graph import (
     topological_order,
 )
 
-@dataclass(frozen=True)
-class SeparationQuery:
+
+class SeparationQuery(NamedTuple("SeparationQuery",
+                                 [("a", str), ("b", str), ("cond", frozenset[str])])):
     """One separation decision: are a and b separated given cond?"""
+
+    __slots__ = ()
+
+    def __new__(cls, a: str, b: str, cond: Iterable[str] = frozenset()) -> "SeparationQuery":
+        if type(cond) is not frozenset:
+            cond = frozenset(cond)
+        if a == b:
+            raise ValueError("query endpoints must differ")
+        if a in cond or b in cond:
+            raise ValueError("query endpoints may not be conditioned on")
+        return tuple.__new__(cls, (a, b, cond))
+
+
+class SeparationVerdict(NamedTuple):
+    separated: bool
+    witness: Path | None = None
+
+
+class DecidedQuery(NamedTuple):
+    """A sweep row's query: the pair, the row's region labels, and the
+    verdict that the sweep's is_separated_words call gave it, which
+    is_separated returns.  Its cond is made only when read."""
 
     a: str
     b: str
-    cond: frozenset[str] = frozenset()
+    region: tuple[str, ...]
+    verdict: SeparationVerdict
 
-    def __post_init__(self) -> None:
-        if type(self.cond) is not frozenset:
-            object.__setattr__(self, "cond", frozenset(self.cond))
-        if self.a == self.b:
-            raise ValueError("query endpoints must differ")
-        if self.a in self.cond or self.b in self.cond:
-            raise ValueError("query endpoints may not be conditioned on")
-
-    # the verdict of a query made by _decided, which is_separated returns
-    _verdict = None
-
-    @classmethod
-    def _decided(cls, a: str, b: str, cond: frozenset[str],
-                 verdict: "SeparationVerdict") -> "SeparationQuery":
-        """A query that carries its verdict, made without __post_init__'s
-        checks by a caller whose is_separated_words call decided it."""
-        q = object.__new__(cls)
-        q.__dict__.update(a=a, b=b, cond=cond, _verdict=verdict)
-        return q
-
-
-@dataclass(frozen=True)
-class SeparationVerdict:
-    separated: bool
-    witness: Path | None = None
+    @property
+    def cond(self) -> frozenset[str]:
+        return frozenset(self.region)
 
 
 def path_is_connecting(g: MixedGraph, p: Path, cond: Iterable[str]) -> bool:
@@ -205,16 +208,15 @@ def is_separated_oracle(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     return SeparationVerdict(witness is None, witness)
 
 
-def is_separated(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
+def is_separated(g: MixedGraph, q: SeparationQuery | DecidedQuery) -> SeparationVerdict:
     """Decide separation by the breadth-first search; a connected query's
     witness is its first active walk to b (module docstring).
 
     Agrees with is_separated_oracle on every input; the witness is
-    deterministic.  A query made by SeparationQuery._decided returns the
-    verdict it carries.
+    deterministic.  A DecidedQuery returns the verdict it carries, unchecked.
     """
-    if q._verdict is not None:
-        return q._verdict
+    if type(q) is DecidedQuery:
+        return q.verdict
     index = g.index
     try:
         a, b = index[q.a], index[q.b]

@@ -281,6 +281,59 @@ def test_lattice_document_must_match_window(diamond_file, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc["directed"].append(doc["directed"][0]),
+    lambda doc: doc["vertices"].append(doc["vertices"][0]),
+    lambda doc: doc["vertices"].remove("d(0,0)"),
+    lambda doc: doc["directed"].append(["d(2,2)", "d(2,2)"]),
+    lambda doc: doc["directed"].append(["d(0,0)", "d(9,9)"]),
+    lambda doc: doc["bidirected"].append(["d(0,0)", "d(0,1)"]),
+], ids=["repeated_edge", "repeated_vertex", "missing_vertex", "self_loop",
+        "unknown_vertex", "extra_spouse"])
+def test_lattice_document_repeats_and_strays_do_not_match(diamond_file, tmp_path, capsys,
+                                                          tamper):
+    doc = json.loads(diamond_file.read_text())
+    tamper(doc)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["prop1", "verify", "--graph", str(tampered), "--a", A, "--b", B,
+                 "--max-cells", "1"]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
+def test_lattice_document_lists_may_come_in_any_order(tmp_path, capsys):
+    box = tmp_path / "box.json"
+    assert main(["lattice", "gen", "--kind", "box", "--kmin", "0", "--kmax", "2",
+                 "--mmin", "0", "--mmax", "8", "--out", str(box)]) == 0
+    doc = json.loads(box.read_text())
+    assert doc["bidirected"]
+    for key in ("vertices", "directed", "bidirected"):
+        doc[key].reverse()
+    doc["bidirected"] = [[v, u] for u, v in doc["bidirected"]]
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(doc))
+    argv = ["sep", "check", "--a", "b(2,2)", "--b", "b(2,6)", "--c", "b(1,3)+b(1,4)+b(1,5)"]
+    capsys.readouterr()
+    assert main(argv + ["--graph", str(box)]) == main(argv + ["--graph", str(shuffled)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == out[1] and "<->" in out[0]
+
+
+def test_lattice_prop1_verify_builds_one_graph(diamond_file, monkeypatch, capsys):
+    import seplat.graph
+
+    build, built = seplat.graph.build_graph, []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(seplat.graph, "build_graph", counting)
+    assert main(["prop1", "verify", "--graph", str(diamond_file), "--a", A, "--b", B,
+                 "--max-cells", "2"]) == 0
+    assert len(built) == 1 and _last_json(capsys)["candidates"] == 45
+
+
 def test_shield_check_rejects_abstract(tmp_path):
     from seplat.cli import graph_document_text
     from seplat.graph import build_graph

@@ -2,8 +2,11 @@
 
 `import seplat` and every graph command of the CLI stay on the graph side
 (graph, lattice, separation); the Markov names of the package and the `mc`
-commands load seplat.markov, and numpy with it, on first use. Each case runs
-in a fresh interpreter, because this test process has long loaded both.
+commands load seplat.markov, and numpy with it, on first use. No seplat
+process imports dataclasses, whose import brings in inspect, ast, dis and
+tokenize; graph commands load no inspect at all (numpy loads it for `mc`).
+Each case runs in a fresh interpreter, because this test process has long
+loaded all of them.
 """
 
 import json
@@ -20,6 +23,7 @@ DOC = ROOT / "tests" / "data" / "diamond_i0-3_j0-3.json"
 A, B = "d(1,3)", "d(3,1)"
 PAR_A = "d(0,2)+d(0,3)+d(1,2)"
 HEAVY = ("numpy", "seplat.markov")
+RECORD_IMPORTS = ("dataclasses", "inspect")
 
 # argv of seplat.cli.main, with {tmp} for the case's scratch directory
 GRAPH_COMMANDS = {
@@ -46,14 +50,14 @@ def _fresh(code: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _run_main(argv: list[str] | None) -> dict:
+def _run_main(argv: list[str] | None, watched: tuple[str, ...] = HEAVY) -> dict:
     """Import seplat and seplat.cli, run main(argv) unless argv is None, and
-    report the exit code and which of HEAVY got loaded."""
+    report the exit code and which of the watched modules got loaded."""
     return _fresh(
         "import json, sys\n"
         "import seplat, seplat.cli\n"
         f"code = None if {argv!r} is None else seplat.cli.main({argv!r})\n"
-        f"print(json.dumps({{'code': code, 'loaded': [m for m in {HEAVY!r} "
+        f"print(json.dumps({{'code': code, 'loaded': [m for m in {watched!r} "
         "if m in sys.modules]}))\n")
 
 
@@ -75,6 +79,20 @@ def test_import_loads_no_numpy():
 def test_graph_commands_load_no_numpy(name, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in GRAPH_COMMANDS[name]]
     assert _run_main(argv) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("name", ["import"] + sorted(GRAPH_COMMANDS))
+def test_graph_side_loads_no_dataclasses_or_inspect(name, tmp_path):
+    if name == "import":
+        assert _run_main(None, RECORD_IMPORTS) == {"code": None, "loaded": []}
+        return
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in GRAPH_COMMANDS[name]]
+    assert _run_main(argv, RECORD_IMPORTS) == {"code": 0, "loaded": []}
+
+
+def test_mc_soundness_loads_no_dataclasses():
+    argv = ["mc", "soundness", "--graph", str(DOC), "--trials", "2"]
+    assert _run_main(argv, HEAVY + ("dataclasses",)) == {"code": 0, "loaded": list(HEAVY)}
 
 
 def test_mc_commands_load_markov():

@@ -44,6 +44,7 @@ from seplat.lattice import (
     spouses,
     strictly_spacelike,
 )
+from seplat.separation import SeparationVerdict
 
 
 def d(i, j):
@@ -550,6 +551,33 @@ def test_prop1_sweep_diamond_report(diamond6):
     assert rep.shielder_off_count == 0  # no 2-cell region shields here
     assert not rep.counterexamples
 
+
+
+def test_each_sweep_row_asks_is_separated_once(diamond6, monkeypatch):
+    # what perfbench's tracer counts and its self-test flips: one
+    # lattice.is_separated call per row, whose query reads as the row's
+    # region, and whose returned verdict is the one the row reports
+    original, asked = lattice.is_separated, []
+    flip = frozenset({"d(0,3)"})
+
+    def flipped(g, q):
+        asked.append((q.a, q.b, q.cond))
+        verdict = original(g, q)
+        if q.cond == flip:
+            return SeparationVerdict(not verdict.separated, verdict.witness)
+        return verdict
+
+    def sweep():
+        return prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), L3C, 3,
+                           lattice_graph=diamond6)
+
+    plain = sweep()
+    monkeypatch.setattr(lattice, "is_separated", flipped)
+    rep = sweep()
+    monkeypatch.undo()
+    assert asked == [("d(1,4)", "d(4,1)", frozenset(r.region)) for r in plain.rows]
+    changed = [r.region for r, s in zip(rep.rows, plain.rows) if r != s]
+    assert changed == [("d(0,3)",)] and rep.total == plain.total == 129
 
 
 def test_prop1_rows_are_immutable(diamond6):
