@@ -46,6 +46,7 @@ that pass on a sweep of one candidate.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -111,11 +112,18 @@ def parse_cell(label: str) -> Cell:
 
 class Window(NamedTuple("Window", [("a_min", int), ("a_max", int),
                                    ("b_min", int), ("b_max", int)])):
-    """Inclusive integer bounds on both cell coordinates."""
+    """Inclusive integer bounds on both cell coordinates.  A bound may be a
+    Python or numpy integer (stored as an int), but no bool, float or str."""
 
     __slots__ = ()
 
     def __new__(cls, a_min: int, a_max: int, b_min: int, b_max: int) -> "Window":
+        bounds = []
+        for name, x in zip(cls._fields, (a_min, a_max, b_min, b_max)):
+            if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+                raise ValueError(f"window bound {name} must be an integer, not {x!r}")
+            bounds.append(operator.index(x))
+        a_min, a_max, b_min, b_max = bounds
         if a_max < a_min or b_max < b_min:
             raise ValueError("window bounds are empty")
         return tuple.__new__(cls, (a_min, a_max, b_min, b_max))
@@ -147,7 +155,7 @@ def window_from_dict(kind: str, d: dict) -> Window:
                 [f"stray {k}" for k in sorted(d) if k not in keys]
         raise ValueError(f"a {kind} window takes exactly {', '.join(keys)} "
                          f"({', '.join(wrong)})")
-    return Window(*(int(d[k]) for k in keys))
+    return Window(*(d[k] for k in keys))
 
 
 class Region(NamedTuple("Region", [("kind", str), ("cells", frozenset[Cell])])):
@@ -548,14 +556,11 @@ class Prop1Row(NamedTuple):
     witness: graph_mod.Path | None
 
 
-class Prop1Report:
+class Prop1Report(NamedTuple):
     """A sweep's rows, in the order shielding_sweep yields the candidates."""
 
-    __slots__ = ("variant", "rows")
-
-    def __init__(self, variant: str, rows: list[Prop1Row]) -> None:
-        self.variant = variant
-        self.rows = rows
+    variant: str
+    rows: list[Prop1Row]
 
     @property
     def total(self) -> int:

@@ -47,19 +47,26 @@ class VertexCpt(NamedTuple("VertexCpt", [("parents", tuple[str, ...]), ("p1", np
             raise ValueError("CPT entries must be finite and lie in [0, 1]")
         return tuple.__new__(cls, (parents, p1))
 
+    # by value: a tuple comparison would ask an array for its truth value
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, VertexCpt) and self.parents == other.parents
+                and np.array_equal(self.p1, other.p1))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = None  # p1 is a mutable array
+
 
 def _bit_keys(k: int) -> list[str]:
     """The 2^k bit strings of length k, in the C order of a k-axis table."""
     return [format(idx, f"0{k}b") if k else "" for idx in range(2 ** k)]
 
 
-class CptSet:
+class CptSet(NamedTuple):
     """Conditional probability tables for every vertex of a DAG."""
 
-    __slots__ = ("tables",)
-
-    def __init__(self, tables: dict[str, VertexCpt] | None = None) -> None:
-        self.tables = {} if tables is None else tables
+    tables: dict[str, VertexCpt]
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.tables))
@@ -217,11 +224,15 @@ class Distribution:
 
 class EventRef(NamedTuple("EventRef",
                           [("vertices", tuple[str, ...]), ("values", tuple[int, ...])])):
-    """A cylinder event: fixed values on a vertex set."""
+    """A cylinder event: fixed values on a vertex set.  The vertices and
+    values may be any sequences but a str; they are stored as tuples."""
 
     __slots__ = ()
 
     def __new__(cls, vertices: tuple[str, ...], values: tuple[int, ...]) -> "EventRef":
+        if isinstance(vertices, str) or isinstance(values, str):
+            raise ValueError("event vertices and values are sequences, not a str")
+        vertices, values = tuple(vertices), tuple(values)
         if len(vertices) != len(values):
             raise ValueError("vertex/value length mismatch")
         # bool is an int subclass, so True and False are named here
@@ -539,13 +550,9 @@ def ci_violation(d: Distribution, a: EventRef, b: EventRef,
 # Causal Markov Condition
 
 
-class CmcReport:
-    __slots__ = ("checked", "violations")
-
-    def __init__(self, checked: int = 0,
-                 violations: list[tuple[str, str, float]] | None = None) -> None:
-        self.checked = checked
-        self.violations = [] if violations is None else violations
+class CmcReport(NamedTuple):
+    checked: int
+    violations: list[tuple[str, str, float]]
 
     @property
     def ok(self) -> bool:
@@ -561,7 +568,7 @@ def check_cmc(d: Distribution, dag: MixedGraph, tol: float = 1e-9) -> CmcReport:
     missing = [v for v in dag.vertices if v not in d.vars]
     if missing:
         raise UnknownVertex(f"distribution lacks variables {missing}")
-    report = CmcReport()
+    checked, violations = 0, []
     for a in dag.vertices:
         pars = frozenset(dag.parents_of(a))
         des = relatives(dag, (a,), DESCENDANTS)
@@ -569,10 +576,10 @@ def check_cmc(d: Distribution, dag: MixedGraph, tol: float = 1e-9) -> CmcReport:
             if b == a or b in des or b in pars:
                 continue
             viol = ci_violation(d, EventRef.single(a), EventRef.single(b), pars)
-            report.checked += 1
+            checked += 1
             if viol > tol:
-                report.violations.append((a, b, viol))
-    return report
+                violations.append((a, b, viol))
+    return CmcReport(checked, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +594,15 @@ class ScreeningCheck(NamedTuple):
     passed: bool
 
 
-class LocalCausalityReport:
+class LocalCausalityReport(NamedTuple):
     """Screening-off audit of one probe pair: the pair's unconditioned
     correlation gap and one check per shielder-off region."""
 
-    __slots__ = ("a", "b", "correlated", "correlation_gap", "checks")
-
-    def __init__(self, a: str, b: str, correlated: bool, correlation_gap: float,
-                 checks: list[ScreeningCheck] | None = None) -> None:
-        self.a, self.b = a, b
-        self.correlated, self.correlation_gap = correlated, correlation_gap
-        self.checks = [] if checks is None else checks
+    a: str
+    b: str
+    correlated: bool
+    correlation_gap: float
+    checks: list[ScreeningCheck]
 
     @property
     def regions_checked(self) -> int:
@@ -636,7 +641,7 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
     margin = _closure_marginal(verts, cpts, [v for v in verts if v in g])
     ev_a, ev_b = EventRef.single(a), EventRef.single(b)
     gap = ci_violation(margin, ev_a, ev_b, ())
-    report = LocalCausalityReport(a, b, correlated=gap > tol, correlation_gap=gap)
+    checks = []
     for labels, l1, l2, l3 in lattice_mod.shielding_sweep(
             cell_a, cell_b, window, variant, max_cells):
         if not (l1 and l2 and l3):
@@ -644,8 +649,8 @@ def is_locally_causal(kind: str, window: lattice_mod.Window, cpts: CptSet,
         # L1 cells lie in A's causal past, so in the window they are graph
         # ancestors of a, all in the margin; else ci_details raises UnknownVertex
         viol, atoms = ci_details(margin, ev_a, ev_b, labels)
-        report.checks.append(ScreeningCheck((a, b), labels, atoms, viol, viol <= tol))
-    return report
+        checks.append(ScreeningCheck((a, b), labels, atoms, viol, viol <= tol))
+    return LocalCausalityReport(a, b, gap > tol, gap, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,15 @@ from .graph import (
 
 class SeparationQuery(NamedTuple("SeparationQuery",
                                  [("a", str), ("b", str), ("cond", frozenset[str])])):
-    """One separation decision: are a and b separated given cond?"""
+    """One separation decision: are a and b separated given cond?  cond is
+    any iterable of labels but a str, which would be a set of characters."""
 
     __slots__ = ()
 
     def __new__(cls, a: str, b: str, cond: Iterable[str] = frozenset()) -> "SeparationQuery":
         if type(cond) is not frozenset:
+            if isinstance(cond, str):
+                raise ValueError(f"conditioning set {cond!r} is a str, not a set of labels")
             cond = frozenset(cond)
         if a == b:
             raise ValueError("query endpoints must differ")
@@ -310,8 +313,8 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
     """[is_separated(g, SeparationQuery(a, b, c)) for c in conds] by one
     bit-parallel search (module docstring): the same verdicts, witnesses
     and exceptions.  Each set is checked as that query is, in set order,
-    so the first bad set raises.  Each set may be any iterable of labels,
-    read once.
+    so the first bad set raises.  Each set may be any iterable of labels
+    but a str, read once.
 
     The label front end of is_separated_words: bit r of words[v] is set
     iff vertex index v is in conds[r].

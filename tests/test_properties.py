@@ -19,7 +19,7 @@ from seplat.graph import (
     topological_order,
 )
 from seplat.markov import latent_expansion
-from seplat.random_graphs import random_mixed_graph
+from seplat.random_graphs import random_dag, random_mixed_graph
 from seplat.separation import (
     SeparationQuery,
     SeparationVerdict,
@@ -254,3 +254,49 @@ def test_minimal_separator_always_exists_on_dags(g):
         if g.is_adjacent(a, b):
             continue
         assert minimal_separator(g, a, b) is not None
+
+
+def _with_environment(g):
+    """G+E: g plus a root E with an edge into every root of g."""
+    roots = [v for v in g.vertices if not g.parents_of(v)]
+    return build_graph(list(g.vertices) + ["E"], list(g.directed) + [("E", r) for r in roots])
+
+
+def test_environment_separation_matches_pair_separation_under_l1_and_l3q():
+    # On a DAG with E a parent of every root, for a and b where neither is
+    # an ancestor of the other and C within An(a) - {a} and outside An(b)
+    # (the graph forms of L1 and L3Q): a _|_ b | C iff a _|_ E | C in G+E.
+    rows = 0
+    for seed in range(300):
+        g = random_dag(6 + seed % 7, 0.3, seed)
+        ge = _with_environment(g)
+        anc = {v: relatives(g, (v,), ANCESTORS_INCLUSIVE) for v in g.vertices}
+        for a in g.vertices:
+            for b in g.vertices:
+                if a == b or a in anc[b] or b in anc[a]:
+                    continue
+                pool = sorted(anc[a] - {a} - anc[b])
+                conds = [c for k in range(len(pool) + 1) for c in combinations(pool, k)]
+                pair = is_separated_each(ge, a, b, conds)
+                env = is_separated_each(ge, a, "E", conds)
+                for c, p, e in zip(conds, pair, env):
+                    assert p.separated == e.separated, (seed, a, b, c)
+                rows += len(conds)
+    assert rows == 49_720
+
+
+def test_environment_separation_needs_l3q():
+    # v0 and v2 are ancestors of b, so C breaks L3Q, but C holds the
+    # common past: An(a) & An(b) lies in An(v2), the graph form of L3C.
+    # a and b are separated, yet a's root ancestor v5 is outside C and
+    # opens v4 <- v5 <- E
+    g = random_dag(8, 0.35, 3)
+    ge = _with_environment(g)
+    cond = {"v0", "v2"}
+    past_a, past_b = (relatives(g, (v,), ANCESTORS_INCLUSIVE) for v in ("v4", "v3"))
+    assert cond <= past_a and cond <= past_b
+    assert past_a & past_b <= relatives(g, ("v2",), ANCESTORS_INCLUSIVE)
+    assert is_separated(g, SeparationQuery("v4", "v3", cond)).separated
+    assert is_separated(ge, SeparationQuery("v4", "v3", cond)).separated
+    env = is_separated(ge, SeparationQuery("v4", "E", cond))
+    assert not env.separated and env.witness.vertices == ("v4", "v5", "E")

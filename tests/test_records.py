@@ -1,14 +1,47 @@
-"""The value types are tuple records: immutable, equal by value with equal
-hashes, checked when made, and cheap to build in a sweep."""
+"""The value types and result containers are tuple records: immutable,
+equal by value, checked when made, and cheap to build in a sweep.  Those
+without a list, dict or array field hash by value; the others cannot be
+hashed."""
 
 import numpy as np
 import pytest
 
 from seplat.errors import InvalidPath, KindMismatch
-from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path
-from seplat.lattice import BOX, DIAMOND, L3C, Cell, Region, ShieldVerdict, Window
-from seplat.markov import EventRef, ScreeningCheck, VertexCpt
-from seplat.separation import DecidedQuery, SeparationQuery, SeparationVerdict
+from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path, build_graph
+from seplat.lattice import (
+    BOX,
+    DIAMOND,
+    L3C,
+    Cell,
+    Prop1Report,
+    Prop1Row,
+    Region,
+    ShieldVerdict,
+    Window,
+    build_graph as build_lattice_graph,
+    prop1_sweep,
+    window_from_dict,
+)
+from seplat.markov import (
+    CmcReport,
+    CptSet,
+    EventRef,
+    LocalCausalityReport,
+    ScreeningCheck,
+    VertexCpt,
+    check_cmc,
+    is_locally_causal,
+    joint,
+    latent_expansion,
+    random_cpts,
+)
+from seplat.random_graphs import random_dag
+from seplat.separation import (
+    DecidedQuery,
+    SeparationQuery,
+    SeparationVerdict,
+    is_separated_each,
+)
 
 WITNESS = ("a", "c", "b"), (DIR_FORWARD, DIR_BACKWARD)
 
@@ -25,7 +58,16 @@ MAKERS = {
     "EventRef": lambda: EventRef(("a", "b"), (1, 0)),
     "ScreeningCheck": lambda: ScreeningCheck(("a", "b"), ("c",), 4, 0.0, True),
     "VertexCpt": lambda: VertexCpt(("a",), np.array([0.25, 0.5])),
+    "Prop1Report": lambda: Prop1Report(L3C, [Prop1Row(("d(0,1)",), True, True, False,
+                                                      False, True, None)]),
+    "CptSet": lambda: CptSet({"a": VertexCpt((), np.array(0.5)),
+                              "b": VertexCpt(("a",), np.array([0.25, 0.5]))}),
+    "CmcReport": lambda: CmcReport(3, [("a", "b", 0.25)]),
+    "LocalCausalityReport": lambda: LocalCausalityReport(
+        "a", "b", True, 0.25, [ScreeningCheck(("a", "b"), ("c",), 4, 0.0, True)]),
 }
+# a list, dict or array field makes a record unhashable
+UNHASHABLE = {"VertexCpt", "Prop1Report", "CptSet", "CmcReport", "LocalCausalityReport"}
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
@@ -39,11 +81,100 @@ def test_records_are_immutable_tuples(name):
         value.extra = None
 
 
-@pytest.mark.parametrize("name", sorted(set(MAKERS) - {"VertexCpt"}))  # p1 is an array
+@pytest.mark.parametrize("name", sorted(set(MAKERS) - UNHASHABLE))
 def test_equal_fields_give_equal_values_and_hashes(name):
     x, y = MAKERS[name](), MAKERS[name]()
     assert x is not y and x == y and hash(x) == hash(y)
     assert len({x, y}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_unhashable_records_compare_by_value(name):
+    x, y = MAKERS[name](), MAKERS[name]()
+    assert x is not y and x == y and not x != y
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(x)
+
+
+def test_cpts_compare_their_tables():
+    a = np.array([0.25, 0.5])
+    cpt = VertexCpt(("x",), a)
+    assert cpt == VertexCpt(("x",), a.copy()) and not cpt != VertexCpt(("x",), a.copy())
+    assert cpt != VertexCpt(("x",), np.array([0.25, 0.75]))
+    assert cpt != VertexCpt(("y",), a)
+    assert cpt != VertexCpt((), np.array(0.25))
+    # a plain tuple of the same fields is no CPT, and comparing does not raise
+    assert cpt != (("x",), a) and not (("x",), a) == cpt
+    one = MAKERS["CptSet"]()
+    two = CptSet(dict(one.tables, b=VertexCpt(("a",), np.array([0.25, 0.75]))))
+    assert one != two and not one == two
+
+
+def test_producers_return_records():
+    window = Window(0, 3, 0, 3)
+    a, b = Cell(DIAMOND, 1, 3), Cell(DIAMOND, 3, 1)
+    sweep = prop1_sweep(DIAMOND, window, a, b, L3C)
+    dag = latent_expansion(build_lattice_graph(DIAMOND, window))
+    cpts = random_cpts(dag, 3)
+    reports = (sweep, cpts, check_cmc(joint(dag, cpts), dag),
+               is_locally_causal(DIAMOND, window, cpts, L3C))
+    assert [type(r) for r in reports] == [Prop1Report, CptSet, CmcReport, LocalCausalityReport]
+    assert [type(f) for r in reports for f in r if isinstance(f, (list, dict))] == \
+        [list, dict, list, list]
+    assert sweep.total == 127 and reports[2].ok and reports[3].regions_checked == 4
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cpt_set_json_round_trip_is_equal(seed):
+    cpts = random_cpts(random_dag(7, 0.4, seed), seed)
+    assert CptSet.from_json_dict(cpts.to_json_dict()) == cpts
+    assert random_cpts(random_dag(7, 0.4, seed), seed + 1) != cpts
+
+
+@pytest.mark.parametrize("bounds, name", [
+    ((0, 2.5, 0, 2), "a_max"),
+    ((0.0, 2, 0, 2), "a_min"),
+    ((0, 2, "0", 2), "b_min"),
+    ((0, 2, 0, True), "b_max"),
+    ((False, 2, 0, 2), "a_min"),
+    ((0, 2, 0, np.float64(2)), "b_max"),
+])
+def test_window_bounds_must_be_integers(bounds, name):
+    with pytest.raises(ValueError, match=f"window bound {name} must be an integer"):
+        Window(*bounds)
+
+
+def test_window_takes_numpy_integers_as_ints():
+    w = Window(np.int64(0), np.int32(2), np.uint8(1), 3)
+    assert w == Window(0, 2, 1, 3) and all(type(x) is int for x in w)
+
+
+def test_window_from_dict_does_not_truncate():
+    with pytest.raises(ValueError, match="window bound a_max must be an integer, not 2.9"):
+        window_from_dict(DIAMOND, {"imin": 0, "imax": 2.9, "jmin": 0, "jmax": 2})
+    assert window_from_dict(DIAMOND, {"imin": 0, "imax": 2, "jmin": 0, "jmax": 2}) == \
+        Window(0, 2, 0, 2)
+
+
+def test_a_str_is_no_set_of_labels():
+    with pytest.raises(ValueError, match="'cd' is a str"):
+        SeparationQuery("a", "b", "cd")
+    g = build_graph(["a", "b", "c", "d"], [("c", "a"), ("c", "b"), ("d", "a")])
+    with pytest.raises(ValueError, match="'cd' is a str"):
+        is_separated_each(g, "a", "b", [["c"], "cd"])
+    assert [v.separated for v in is_separated_each(g, "a", "b", [["c"], ["c", "d"]])] == \
+        [True, True]
+    with pytest.raises(ValueError, match="not a str"):
+        EventRef("ab", (1, 0))
+    with pytest.raises(ValueError, match="not a str"):
+        EventRef(("a",), "1")
+
+
+def test_event_sequences_become_tuples():
+    event = EventRef(["a", "b"], [1, 0])
+    assert event == EventRef(("a", "b"), (1, 0))
+    assert type(event.vertices) is tuple and type(event.values) is tuple
+    assert hash(event) == hash(EventRef(("a", "b"), (1, 0)))
 
 
 @pytest.mark.parametrize("make, error, message", [
