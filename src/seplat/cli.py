@@ -12,13 +12,13 @@ import csv
 import json
 import sys
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Sequence
 
 from . import lattice as lat
 from .errors import BudgetExceeded, SeparatedInput, SeplatError
 from .graph import (
     MixedGraph,
-    Path,
     build_graph,
     format_path,
     graph_to_json_dict,
@@ -26,6 +26,7 @@ from .graph import (
     split_labels,
 )
 from .separation import (
+    DecidedQuery,
     SeparationQuery,
     is_separated,
     is_separated_oracle,
@@ -58,47 +59,36 @@ class _Echo:
         return text
 
 
-def write_sweep_report(path, rows: Iterable[lat.Prop1Row]) -> None:
-    """Write a sweep report: CSV_HEADER, then one line per row, streamed.
-
-    csv.writer encodes every field, but not row by row.  Each distinct
-    verdict tail (l1, l2, l3, shielder_off, separated, witness) is encoded
-    once, from its leading ";" to the line end, formatting its witness
-    once.  Each distinct region label is encoded once to learn whether csv
-    leaves it as it is; a "+"-join of such labels is left as it is too,
-    since "+" is not special to csv, so the line is the join plus the
-    tail.  A region with any other label goes through csv.writer with its
-    whole line.
+def write_sweep_report(path, report: lat.Prop1Report) -> None:
+    """Write a sweep report: CSV_HEADER, then one line per candidate, 4,096
+    lines per write: its "+"-joined labels and its verdict tail (l1 to
+    witness), with the verdict lat.is_separated returns for its
+    DecidedQuery, each distinct tail encoded once by csv.writer.  csv leaves
+    a "+"-join of lattice labels as it is; a pool label that it would quote
+    is a ValueError, raised before the file is opened.
     """
     encode = csv.writer(_Echo(), delimiter=";").writerow
-    plain: set[str] = set()  # labels csv writes as they are
-    quoted: set[str] = set()  # labels csv quotes
-    witness_text: dict[Path | None, str] = {None: "-"}
+    for label in report.labels:
+        if encode([label, ""]) != label + ";\r\n":
+            raise ValueError(f"sweep label {label!r} would need quoting in a report")
+    g, a, b, table = report.graph, report.a, report.b, report.table
+    separated = lat.is_separated
+    witness_text = cache(lambda witness: "-" if witness is None else format_path(witness))
     tails: dict[tuple, str] = {}
-
-    def verdict_fields(r: lat.Prop1Row) -> list[str]:
-        text = witness_text.get(r.witness)
-        if text is None:
-            text = witness_text[r.witness] = format_path(r.witness)
-        return [_BOOL_TEXT[r.l1], _BOOL_TEXT[r.l2], _BOOL_TEXT[r.l3],
-                _BOOL_TEXT[r.shielder_off], _BOOL_TEXT[r.separated], text]
-
+    rows = zip(report.candidates(), report.geometry, report.verdicts)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write = fh.write
-        write(encode(CSV_HEADER))
-        for r in rows:
-            region = r.region
-            if not plain.issuperset(region):
-                for label in set(region) - plain - quoted:
-                    unquoted = encode([label, ""]) == label + ";\r\n"
-                    (plain if unquoted else quoted).add(label)
-                if not plain.issuperset(region):
-                    write(encode(["+".join(region), *verdict_fields(r)]))
-                    continue
-            tail = tails.get(r[1:])
-            if tail is None:
-                tail = tails[r[1:]] = encode(["", *verdict_fields(r)])
-            write("+".join(region) + tail)
+        fh.write(encode(CSV_HEADER))
+        for _ in range(0, report.total, 4096):
+            lines = []
+            for region, code, v in islice(rows, 4096):
+                verdict = separated(g, tuple.__new__(DecidedQuery, (a, b, region, table[v])))
+                tail = tails.get((code, verdict))
+                if tail is None:
+                    tail = tails[code, verdict] = encode(
+                        ["", *(_BOOL_TEXT[not code & m] for m in (1, 2, 4, 7)),
+                         _BOOL_TEXT[verdict.separated], witness_text(verdict.witness)])
+                lines.append("+".join(region) + tail)
+            fh.writelines(lines)
 
 
 def mc_query(a: str, b: str, cond: Sequence[str]) -> str:
@@ -243,7 +233,7 @@ def _cmd_prop1_verify(args) -> int:
     report = lat.prop1_sweep(kind, window, cell_a, cell_b, args.variant,
                              args.max_cells, args.budget, lattice_graph=g)
     if args.report:
-        write_sweep_report(args.report, report.rows)
+        write_sweep_report(args.report, report)
     counterexamples = report.counterexamples
     _emit({"candidates": report.total,
            "shielder_off": report.shielder_off_count,

@@ -183,7 +183,7 @@ def build_graph(vertices: Iterable[str],
     inputs violate the graph invariants.
     """
     vset = set()
-    for v in vertices:
+    for v in label_iterable(vertices, "vertex list"):
         if not isinstance(v, str) or not v:
             raise UnknownVertex(f"vertex labels must be nonempty strings, got {v!r}")
         vset.add(v)
@@ -270,7 +270,7 @@ def relatives(g: MixedGraph, s: Iterable[str], kind: str) -> frozenset[str]:
     Collaterals of s are the vertices that are neither ancestors nor
     descendants of s and not in s.
     """
-    seed = frozenset(s)
+    seed = frozenset(label_iterable(s, "vertex set"))
     g.require(seed)
     if kind == PARENTS:
         out: set[str] = set()
@@ -334,6 +334,13 @@ def simple_paths(g: MixedGraph, a: str, b: str, max_len: int) -> Iterator[Path]:
             kinds.pop()
 
     yield from walk(a)
+
+
+def label_iterable(labels: Iterable[str], what: str) -> Iterable[str]:
+    """labels, unless it is a str, which would read as a set of characters."""
+    if isinstance(labels, str):
+        raise ValueError(f"{what} {labels!r} is a str, not a set of labels")
+    return labels
 
 
 def split_labels(literal: str) -> tuple[str, ...]:

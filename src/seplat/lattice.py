@@ -39,24 +39,27 @@ the words of the cells that fail (for L3C, that pass).  L2 is one pass over
 the pool, children before parents, carrying reach[p], the candidates whose
 walk from A gets to p, and a candidate fails when its walk gets to a
 boundary cell.  Mapped to graph vertices, the same words are the sets of
-the sweep's separation batch (separation.is_separated_words).  The public
-predicates decide one Region: the per-cell rules over its cells, and L2 as
-that pass on a sweep of one candidate.
+the sweep's separation batch (separation.witness_words).  A Prop1Report
+holds the answers as codes, one per candidate, and makes rows only when
+read.  The public predicates decide one Region: the per-cell rules over
+its cells, and L2 as that pass on a sweep of one candidate.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from functools import cached_property, lru_cache
-from itertools import chain, combinations
+import sys
+from array import array
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations, compress, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph
-from .separation import DecidedQuery, is_separated, is_separated_words
+from .separation import DecidedQuery, SeparationVerdict, is_separated, witness_words
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -393,10 +396,6 @@ def shielder_off(region: Region, cell_a: Cell, cell_b: Cell, variant: str,
     )
 
 
-def candidate_count(n_cells: int, max_cells: int) -> int:
-    return sum(comb(n_cells, k) for k in range(1, min(max_cells, n_cells) + 1))
-
-
 def _members(n: int, max_cells: int) -> list[int]:
     """member[p] over the nonempty subsets of range(n) of at most max_cells
     elements, in (size, lexicographic) order: bit r is set iff subset r
@@ -427,11 +426,7 @@ def _members(n: int, max_cells: int) -> list[int]:
 
 def _union(member: list[int], cells: Iterable[bool]) -> int:
     """The candidates holding some pool cell flagged in cells."""
-    word = 0
-    for m, flagged in zip(member, cells):
-        if flagged:
-            word |= m
-    return word
+    return reduce(operator.or_, compress(member, cells), 0)
 
 
 def _l2_fails(member: list[int], parent_masks: tuple[int, ...], boundary: int,
@@ -461,21 +456,33 @@ def _l2_fails(member: list[int], parent_masks: tuple[int, ...], boundary: int,
     return fails
 
 
-_PASS = {"0": True, "1": False}
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_UNITS = {"B": "latin-1", "H": f"utf-16-{sys.byteorder[0]}e", "I": f"utf-32-{sys.byteorder[0]}e"}
 
 
-def _passes(fails: int, count: int) -> Iterator[bool]:
-    """The verdicts of candidates 0..count-1, given the word of those failing."""
-    return map(_PASS.__getitem__, format(fails | 1 << count, "b")[:0:-1])
+def _spread(word: int, count: int, typecode: str = "B") -> int:
+    """The int whose native-order bytes are an array(typecode) with bit r of
+    word as item r, r < count: bits as text, one item-wide code unit each."""
+    text = format(word | 1 << count, "b")[:0:-1].encode(_UNITS[typecode])
+    return int.from_bytes(text.translate(_BITS), sys.byteorder)
+
+
+def _candidates(labels: tuple[str, ...], count: int) -> Iterator[tuple[str, ...]]:
+    """The sweep's first count candidates, in (size, lexicographic) order."""
+    sizes = range(1, len(labels) + 1)
+    return islice(chain.from_iterable(combinations(labels, k) for k in sizes), count)
+
+
+# a geometry code's (l1, l2, l3): bit 0, 1 or 2 is set when L1, L2 or L3 fails
+_GEOMETRY = tuple((not c & 1, not c & 2, not c & 4) for c in range(8))
 
 
 def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
                   max_cells: int | None, budget: int
-                  ) -> tuple[tuple[str, ...], int, list[int],
-                             Iterator[tuple[tuple[str, ...], bool, bool, bool]]]:
+                  ) -> tuple[tuple[str, ...], int, list[int], bytes]:
     """The sweep kernel (module docstring), with shielding_sweep's checks:
     (the pool's labels, the candidate count, each pool cell's membership
-    word, and shielding_sweep's stream of (labels, l1, l2, l3))."""
+    word, and each candidate's geometry code)."""
     _require_spacelike_pair(cell_a, cell_b)
     pool, parent_masks, boundary = _pool_index(cell_a, window)
     if max_cells is None:
@@ -483,10 +490,10 @@ def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
     elif max_cells < 0:
         raise ValueError(f"max_cells must be non-negative, got {max_cells}")
     in_l3, l3_every = _l3_rule(cell_a, cell_b, variant)
-    count = candidate_count(len(pool), max_cells)
+    sizes = range(1, min(max_cells, len(pool)) + 1)
+    count = sum(comb(len(pool), k) for k in sizes)
     if count > budget:
         raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
-    sizes = range(1, min(max_cells, len(pool)) + 1)
     member = _members(len(pool), len(sizes))
     every = (1 << count) - 1
     in_l1 = _l1_rule(cell_a)
@@ -495,11 +502,9 @@ def _decide_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
         l3_fails = _union(member, (not in_l3(c) for c in pool))
     else:
         l3_fails = every & ~_union(member, map(in_l3, pool))
-    l2_fails = _l2_fails(member, parent_masks, boundary, every)
-    labels = tuple(c.label for c in pool)
-    regions = chain.from_iterable(combinations(labels, k) for k in sizes)
-    verdicts = (_passes(fails, count) for fails in (l1_fails, l2_fails, l3_fails))
-    return labels, count, member, zip(regions, *verdicts)
+    fails = (l1_fails, _l2_fails(member, parent_masks, boundary, every), l3_fails)
+    codes = sum(_spread(word, count) << i for i, word in enumerate(fails))
+    return tuple(c.label for c in pool), count, member, codes.to_bytes(count, sys.byteorder)
 
 
 def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
@@ -514,8 +519,9 @@ def shielding_sweep(cell_a: Cell, cell_b: Cell, window: Window, variant: str,
     BudgetExceeded when the candidate count exceeds budget, all before
     yielding anything.
     """
-    *_, items = _decide_sweep(cell_a, cell_b, window, variant, max_cells, budget)
-    yield from items
+    labels, count, _member, geometry = _decide_sweep(cell_a, cell_b, window, variant,
+                                                     max_cells, budget)
+    yield from ((c, *_GEOMETRY[code]) for c, code in zip(_candidates(labels, count), geometry))
 
 
 def region_to_vertexset(region: Region, g: MixedGraph) -> frozenset[str]:
@@ -557,22 +563,44 @@ class Prop1Row(NamedTuple):
 
 
 class Prop1Report(NamedTuple):
-    """A sweep's rows, in the order shielding_sweep yields the candidates."""
+    """A sweep as codes, one per candidate in shielding_sweep's order: bit 0,
+    1 or 2 of geometry[r] is set when it fails L1, L2 or L3; verdicts[r]
+    indexes table, the separated verdict and then one per distinct witness."""
 
     variant: str
-    rows: list[Prop1Row]
+    graph: MixedGraph
+    a: str
+    b: str
+    labels: tuple[str, ...]
+    total: int
+    geometry: bytes
+    verdicts: array
+    table: tuple[SeparationVerdict, ...]
 
-    @property
-    def total(self) -> int:
-        return len(self.rows)
+    def candidates(self) -> Iterator[tuple[str, ...]]:
+        return _candidates(self.labels, self.total)
 
     @property
     def shielder_off_count(self) -> int:
-        return sum(r.shielder_off for r in self.rows)
+        return self.geometry.count(0)
+
+    @property
+    def rows(self) -> list[Prop1Row]:
+        """Every row, made when read from one is_separated(DecidedQuery) each."""
+        g, a, b, table = self.graph, self.a, self.b, self.table
+        return [tuple.__new__(Prop1Row, (region, *_GEOMETRY[code], not code, *is_separated(
+                    g, tuple.__new__(DecidedQuery, (a, b, region, table[v])))))
+                for region, code, v in zip(self.candidates(), self.geometry, self.verdicts)]
 
     @property
     def counterexamples(self) -> list[Prop1Row]:
-        return [r for r in self.rows if r.shielder_off and not r.separated]
+        """The shielder-off rows that are connected, from the codes alone."""
+        found, r = bytearray(self.total), self.geometry.find(0)
+        while r >= 0:
+            found[r] = self.verdicts[r] != 0
+            r = self.geometry.find(0, r + 1)
+        return [Prop1Row(region, True, True, True, True, *self.table[v]) for region, v
+                in zip(compress(self.candidates(), found), compress(self.verdicts, found))]
 
 
 def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
@@ -583,11 +611,11 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
 
     The sweep kernel decides the geometry (module docstring), and its
     membership words, mapped to graph vertices, are the sets of one
-    is_separated_words call that decides every candidate and builds the
-    witness of each connected one.  Each row still asks is_separated, with
-    a DecidedQuery tuple (a, b, region, the row's verdict from that call's
-    list).  b is strictly spacelike from a, so neither is in a's pool and
-    each row's query is made without rechecking.
+    witness_words call that decides every candidate.  The report keeps both
+    as codes made from the words with no step per candidate (_spread): one
+    byte each, or more for the verdict index past 255 witnesses.  b is
+    strictly spacelike from a, so neither is in a's pool and each row's
+    query is made without rechecking.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -596,16 +624,14 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     g = lattice_graph if lattice_graph is not None else build_graph(kind, window)
     a, b = cell_a.label, cell_b.label
     g.require((a, b))
-    labels, count, member, items = _decide_sweep(cell_a, cell_b, window, variant,
-                                                 max_cells, budget)
+    labels, count, member, geometry = _decide_sweep(cell_a, cell_b, window, variant,
+                                                    max_cells, budget)
     # every pool cell is in some set, unless the sweep is empty
     vertices = labels if count else ()
     g.require(vertices)
-    words = {g.index[v]: word for v, word in zip(vertices, member)}
-    verdicts = is_separated_words(g, a, b, count, words)
-    rows = []
-    for (region, l1, l2, l3), verdict in zip(items, verdicts, strict=True):
-        sep = is_separated(g, tuple.__new__(DecidedQuery, (a, b, region, verdict)))
-        rows.append(tuple.__new__(Prop1Row, (region, l1, l2, l3, l1 and l2 and l3,
-                                             sep.separated, sep.witness)))
-    return Prop1Report(variant, rows)
+    found = witness_words(g, a, b, count, {g.index[v]: w for v, w in zip(vertices, member)})
+    typecode = next(t for t in "BHI" if len(found) < 1 << 8 * array(t).itemsize)
+    index = sum(_spread(word, count, typecode) * i for i, (word, _) in enumerate(found, 1))
+    verdicts = array(typecode, index.to_bytes(count * array(typecode).itemsize, sys.byteorder))
+    return Prop1Report(variant, g, a, b, labels, count, geometry, verdicts,
+                       (SeparationVerdict(True, None), *(verdict for _, verdict in found)))

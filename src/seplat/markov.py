@@ -22,7 +22,7 @@ from .errors import (
     SeparatedInput,
     UnknownVertex,
 )
-from .graph import ANCESTORS_INCLUSIVE, BIDIR, DESCENDANTS, MixedGraph, relatives
+from .graph import ANCESTORS_INCLUSIVE, BIDIR, DESCENDANTS, MixedGraph, label_iterable, relatives
 from .lattice import DEFAULT_JOINT_BUDGET
 from .separation import SeparationQuery, is_separated
 
@@ -214,7 +214,7 @@ class Distribution:
         return d
 
     def marginal(self, names: Iterable[str]) -> "Distribution":
-        keep = sorted(set(names))
+        keep = sorted(set(label_iterable(names, "variable set")))
         missing = [n for n in keep if n not in self.vars]
         if missing:
             raise UnknownVertex(f"variables {missing} not in the distribution")
@@ -518,7 +518,7 @@ def ci_details(d: Distribution, a: EventRef, b: EventRef,
                cond: Iterable[str]) -> tuple[float, int]:
     """Max over positive-probability atoms of |p(AB|c) - p(A|c) p(B|c)|,
     plus the number of atoms checked."""
-    cond = sorted(set(cond))
+    cond = sorted(set(label_iterable(cond, "conditioning set")))
     a_set, b_set, c_set = set(a.vertices), set(b.vertices), set(cond)
     if a_set & b_set or a_set & c_set or b_set & c_set:
         raise DisjointnessViolation("event and conditioning sets overlap")

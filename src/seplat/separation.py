@@ -15,12 +15,12 @@ Three decision routes:
   what is_separated returns for each, witness included.  It checks each
   set as SeparationQuery and is_separated do, then hands the sets to
   is_separated_words as membership words, one per vertex, the form a
-  lattice sweep already holds.  A sweep makes one such call and still
-  asks is_separated row by row, where perfbench's tracer counts the calls
-  and its self-test flips a verdict.  Each row's query is a DecidedQuery,
-  a plain tuple (a, b, region labels, verdict from that call's list): no
-  row runs a search or a check of its own, and its cond frozenset is made
-  only when something reads it.
+  lattice sweep already holds.  A sweep calls witness_words once and
+  still asks is_separated for each row it reads or writes, where
+  perfbench's tracer counts the calls and its self-test flips a verdict.
+  Each row's query is a DecidedQuery, a plain tuple (a, b, region labels,
+  the verdict from that call): no row runs a search or a check of its
+  own, and its cond frozenset is made only when something reads it.
 
 The search.  Breadth-first reachability over integer states 2*v + head
 (vertex index, arrowhead on entry) on the graph's integer core (the
@@ -45,17 +45,17 @@ first state of the level before that has a move to it, at that move's
 position.  So the goal's chain extends the first walk of the last level
 with a move to b by its first such move.
 
-The batch.  is_separated_words runs that search for every conditioning set
-at once: bit c of every word stands for the c-th set.  The input words say
+The batch.  witness_words runs that search for every conditioning set at
+once: bit c of every word stands for the c-th set.  The input words say
 which sets hold each vertex, and the words of a state record which sets
-reach it at which level.  A forward pass finds, per
-set, the level at which b is first reached; a backward pass keeps the
-states that lie on a shortest active walk to b; a forward decode takes, at
-each state, the first allowed move onto a kept state.  That is the first
-walk in the order above, so the batch returns the search's witness bit for
-bit, and each distinct witness is built once as a shared Path.  Its cost is
-paid per state and move, not per set: on a few sets, is_separated is the
-faster route.
+reach it at which level.  A forward pass finds, per set, the level at
+which b is first reached; a backward pass keeps the states that lie on a
+shortest active walk to b; a forward decode takes, at each state, the
+first allowed move onto a kept state.  That is the first walk in the order
+above, so the batch finds the search's witness bit for bit, building each
+distinct one once; is_separated_words spreads them over a list.  Its cost
+is paid per state and move, not per set: on a few sets, is_separated is
+the faster route.
 
 A collider is an interior path vertex receiving arrowheads from both
 neighbors; bidirected edge ends count as arrowheads.
@@ -75,6 +75,7 @@ from .graph import (
     DIR_FORWARD,
     MixedGraph,
     Path,
+    label_iterable,
     relatives,
     topological_order,
 )
@@ -89,9 +90,7 @@ class SeparationQuery(NamedTuple("SeparationQuery",
 
     def __new__(cls, a: str, b: str, cond: Iterable[str] = frozenset()) -> "SeparationQuery":
         if type(cond) is not frozenset:
-            if isinstance(cond, str):
-                raise ValueError(f"conditioning set {cond!r} is a str, not a set of labels")
-            cond = frozenset(cond)
+            cond = frozenset(label_iterable(cond, "conditioning set"))
         if a == b:
             raise ValueError("query endpoints must differ")
         if a in cond or b in cond:
@@ -106,7 +105,7 @@ class SeparationVerdict(NamedTuple):
 
 class DecidedQuery(NamedTuple):
     """A sweep row's query: the pair, the row's region labels, and the
-    verdict that the sweep's is_separated_words call gave it, which
+    verdict that the sweep's witness_words call gave it, which
     is_separated returns.  Its cond is made only when read."""
 
     a: str
@@ -335,10 +334,23 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
 
 def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
                        words: dict[int, int]) -> list[SeparationVerdict]:
-    """The verdicts of n conditioning sets given as membership words: bit r
-    of words[v] is set iff vertex index v is in set r, and a vertex without
-    a word is in no set.  Returns what is_separated returns for each set,
-    witness included, by one bit-parallel search (module docstring).
+    """What is_separated returns for each of witness_words' n sets, as a list."""
+    verdicts = [SeparationVerdict(True, None)] * n
+    for word, verdict in witness_words(g, a, b, n, words):
+        bits = format(word, "b")[::-1]
+        r = bits.find("1")
+        while r >= 0:
+            verdicts[r] = verdict
+            r = bits.find("1", r + 1)
+    return verdicts
+
+
+def witness_words(g: MixedGraph, a: str, b: str, n: int,
+                  words: dict[int, int]) -> list[tuple[int, SeparationVerdict]]:
+    """Each distinct connected verdict of n conditioning sets, made once,
+    with the word of the sets that take it, by one bit-parallel search
+    (module docstring).  Bit r of words[v] is set iff vertex index v is in
+    set r.  The returned words are disjoint; the other sets are separated.
 
     ValueError when a == b or an endpoint is in a set; UnknownVertex for an
     unknown endpoint or a word key that is no vertex index, for n = 0 too.
@@ -413,7 +425,7 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
             levels[k][state] = word & on
 
     # decode: follow each set's first allowed move onto a marked state
-    verdicts = [SeparationVerdict(True, None)] * n
+    found = []
     labels = g.vertices
     frontier = [(start, every ^ pending, (start >> 1,), ())]
     for k in range(len(levels) - 1):
@@ -428,16 +440,11 @@ def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
                 if w == goal:
                     path = _checked_witness(labels, verts + (w,), kinds + (kind,),
                                             x, in_cond, in_anc)
-                    verdict = SeparationVerdict(False, path)
-                    bits = format(x, "b")[::-1]
-                    r = bits.find("1")
-                    while r >= 0:
-                        verdicts[r] = verdict
-                        r = bits.find("1", r + 1)
+                    found.append((x, SeparationVerdict(False, path)))
                 else:
                     step.append((nxt, x, verts + (w,), kinds + (kind,)))
         frontier = step
-    return verdicts
+    return found
 
 
 def _checked_witness(labels, verts, kinds, word, in_cond, in_anc) -> Path:

@@ -204,8 +204,37 @@ BOX_L3C_REPORT_SHA256 = "0907a23dbc86a346fc583723ef10a62ffecb70066f872d6f5c1411d
 def test_criterion_3_box_report_pinned(box_l3c, tmp_path):
     rep, _elapsed = box_l3c
     report = tmp_path / "box_l3c.csv"
-    write_sweep_report(report, rep.rows)
+    write_sweep_report(report, rep)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == BOX_L3C_REPORT_SHA256
+
+
+def test_criterion_3_box_report_holds_no_rows(box69, tmp_path):
+    # `prop1 verify --report` on the 6x9 box keeps one code per candidate and
+    # writes 4,096 lines at a time.  Holding its 122,437 rows as Prop1Row
+    # tuples peaked at 24 MiB under tracemalloc; the codes peak near 8 MiB.
+    import contextlib
+    import io
+    import json
+    import tracemalloc
+
+    from seplat.cli import main
+    from seplat.lattice import window_to_dict
+
+    graph, report = tmp_path / "box.json", tmp_path / "box.csv"
+    graph.write_text(graph_document_text(box69, BOX, window_to_dict(BOX, BOX_WINDOW)))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["prop1", "verify", "--graph", str(graph), "--a", B_A.label,
+                         "--b", B_B.label, "--max-cells", "5", "--report", str(report)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(out.getvalue())
+    assert code == 1 and (payload["candidates"], payload["shielder_off"]) == (122437, 175)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == BOX_L3C_REPORT_SHA256
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_criterion_3_networkx_cross_check(box69, box_l3c):

@@ -191,7 +191,7 @@ def test_sep_minimal_none_when_ancestors_cannot_separate(tmp_path, capsys):
     from seplat.graph import build_graph
 
     # the ancestral start set {c, d} holds c, an open collider on a<->c<->b
-    g = build_graph("abcd", [("c", "d"), ("d", "a")], [("a", "c"), ("c", "b")])
+    g = build_graph(list("abcd"), [("c", "d"), ("d", "a")], [("a", "c"), ("c", "b")])
     path = tmp_path / "g.json"
     path.write_text(graph_document_text(g))
     assert main(["sep", "minimal", "--graph", str(path), "--a", "a", "--b", "b"]) == 1
@@ -414,7 +414,7 @@ def test_sweep_report_formats_each_witness_once(tmp_path, monkeypatch):
     assert (rep.total, sum(not r.separated for r in rep.rows)) == (2379, 2339)
     assert len(formatted) == len(set(formatted)) == len(witnesses) == 36
     written = tmp_path / "written.csv"
-    write_sweep_report(written, rep.rows)
+    write_sweep_report(written, rep)
     assert report.read_bytes() == written.read_bytes()
     with report.open(encoding="utf-8", newline="") as fh:
         lines = list(csv.reader(fh, delimiter=";"))
@@ -422,28 +422,88 @@ def test_sweep_report_formats_each_witness_once(tmp_path, monkeypatch):
 
 
 def test_sweep_report_is_what_csv_writer_writes(tmp_path):
-    # labels and witnesses that csv must quote, mixed with plain ones, and
-    # each region and verdict tail seen more than once
+    # witnesses that csv must quote, mixed with plain ones, and random codes,
+    # so that each geometry code and each verdict tail is seen more than once;
+    # every line is checked against csv.writer on fields decoded here
     import random
+    from array import array
+    from itertools import combinations
 
     from seplat.cli import CSV_HEADER, write_sweep_report
-    from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path as GPath
-    from seplat.lattice import Prop1Row
+    from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path as GPath, build_graph
+    from seplat.lattice import L3C, Prop1Report, Prop1Row
+    from seplat.separation import SeparationVerdict
 
-    regions = [(), ("",), ("", ""), ("b(0,1)",), ("b(0,1)", "b(0,2)"), ("a;b",),
-               ('q"x', "b(0,1)"), ("b(0,1)", "n\nl"), ("c\rr",), ("p+q", "s p"),
-               ("b(0,2)", "a;b", 'q"x'), ("\r\n",)]
-    witnesses = [None, GPath(("b(0,1)", "b(0,2)"), (DIR_FORWARD,)),
-                 GPath(('w"1', "y;z", "n\nm", "r\r"), (BIDIR, DIR_BACKWARD, DIR_FORWARD))]
+    labels = ("b(0,1)", "b(0,2)", "b(1,-1)", "d(0,0)", "d(10,3)", "p+q", "s p", "x.y", "z")
+    table = (SeparationVerdict(True, None),
+             SeparationVerdict(False, GPath(("b(0,1)", "b(0,2)"), (DIR_FORWARD,))),
+             SeparationVerdict(False, GPath(('w"1', "y;z", "n\nm", "r\r"),
+                                            (BIDIR, DIR_BACKWARD, DIR_FORWARD))))
     rng = random.Random(7)
-    rows = [Prop1Row(rng.choice(regions), *(rng.random() < 0.5 for _ in range(5)),
-                     rng.choice(witnesses)) for _ in range(300)]
+    total = 300
+    geometry = bytes(rng.randrange(8) for _ in range(total))
+    verdicts = array("B", (rng.randrange(len(table)) for _ in range(total)))
+    report = Prop1Report(L3C, build_graph(["a", "b"]), "a", "b", labels, total, geometry,
+                         verdicts, table)
+    candidates = [c for k in range(1, len(labels) + 1) for c in combinations(labels, k)]
+    rows = [Prop1Row(c, not code & 1, not code & 2, not code & 4, code == 0, *table[v])
+            for c, code, v in zip(candidates, geometry, verdicts)]
+    assert report.rows == rows
     lines = [CSV_HEADER] + [_sweep_fields(r) for r in rows]
     written = tmp_path / "written.csv"
-    write_sweep_report(written, rows)
+    write_sweep_report(written, report)
     assert written.read_bytes() == _csv_writer_bytes(tmp_path / "csv.csv", lines)
     with written.open(encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh, delimiter=";")) == lines
+
+
+@pytest.mark.parametrize("label", ["a;b", 'q"x', "n\nl", "c\rr"])
+def test_sweep_report_rejects_a_label_csv_would_quote(tmp_path, label):
+    # the pool's labels are checked once, before the file is opened
+    from array import array
+
+    from seplat.cli import write_sweep_report
+    from seplat.graph import build_graph
+    from seplat.lattice import L3C, Prop1Report
+    from seplat.separation import SeparationVerdict
+
+    report = Prop1Report(L3C, build_graph(["a", "b"]), "a", "b", ("b(0,1)", label), 3,
+                         bytes(3), array("B", bytes(3)), (SeparationVerdict(True, None),))
+    written = tmp_path / "written.csv"
+    with pytest.raises(ValueError, match="would need quoting"):
+        write_sweep_report(written, report)
+    assert not written.exists()
+
+
+def test_sweep_report_writes_the_verdict_is_separated_returns(tmp_path, monkeypatch):
+    # the writer asks lattice.is_separated once per line and writes the
+    # verdict it returns, so a flipped verdict changes exactly its own line
+    import seplat.lattice
+    from seplat.cli import write_sweep_report
+    from seplat.lattice import DIAMOND, L3C, Cell, Window, prop1_sweep
+    from seplat.separation import SeparationVerdict
+
+    rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 1, 4), Cell(DIAMOND, 4, 1),
+                      L3C, 3)
+    original, asked = seplat.lattice.is_separated, []
+
+    def flipped(g, q):
+        asked.append(q.region)
+        verdict = original(g, q)
+        if q.cond == frozenset({"d(0,3)"}):
+            return SeparationVerdict(not verdict.separated, None)
+        return verdict
+
+    plain, changed = tmp_path / "plain.csv", tmp_path / "flipped.csv"
+    write_sweep_report(plain, rep)
+    monkeypatch.setattr(seplat.lattice, "is_separated", flipped)
+    write_sweep_report(changed, rep)
+    monkeypatch.undo()
+    assert asked == list(rep.candidates()) and len(asked) == rep.total == 129
+    diff = [(x, y) for x, y in zip(plain.read_text().splitlines(),
+                                   changed.read_text().splitlines()) if x != y]
+    assert len(diff) == 1 and diff[0][0].startswith("d(0,3);")
+    assert diff[0][0].split(";")[5] != diff[0][1].split(";")[5]
 
 
 def test_prop1_verify_max_cells_zero(diamond_file, tmp_path, capsys):

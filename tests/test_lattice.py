@@ -555,8 +555,9 @@ def test_prop1_sweep_diamond_report(diamond6):
 
 def test_each_sweep_row_asks_is_separated_once(diamond6, monkeypatch):
     # what perfbench's tracer counts and its self-test flips: one
-    # lattice.is_separated call per row, whose query reads as the row's
-    # region, and whose returned verdict is the one the row reports
+    # lattice.is_separated call per row read, whose query reads as the row's
+    # region, and whose returned verdict is the one the row reports; the
+    # sweep itself asks nothing
     original, asked = lattice.is_separated, []
     flip = frozenset({"d(0,3)"})
 
@@ -574,9 +575,11 @@ def test_each_sweep_row_asks_is_separated_once(diamond6, monkeypatch):
     plain = sweep()
     monkeypatch.setattr(lattice, "is_separated", flipped)
     rep = sweep()
+    assert asked == []
+    rows = rep.rows
     monkeypatch.undo()
     assert asked == [("d(1,4)", "d(4,1)", frozenset(r.region)) for r in plain.rows]
-    changed = [r.region for r, s in zip(rep.rows, plain.rows) if r != s]
+    changed = [r.region for r, s in zip(rows, plain.rows) if r != s]
     assert changed == [("d(0,3)",)] and rep.total == plain.total == 129
 
 
@@ -698,3 +701,65 @@ def test_unknown_variant_rejected_up_front():
         next(shielding_sweep(d(1, 4), d(4, 1), DIAMOND_WINDOW, "bogus", 0))
     with pytest.raises(ValueError, match="unknown L3 variant"):
         prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), "bogus", 0)
+
+
+@pytest.mark.parametrize("typecode", ["B", "H", "I"])
+def test_spread_lays_each_bit_out_as_one_item(typecode):
+    """_spread(word, count, typecode) is the int whose native-order bytes
+    are an array(typecode) holding bit r of word as item r."""
+    import random
+    import sys
+    from array import array
+
+    rng = random.Random(3)
+    width = array(typecode).itemsize
+    for count in (0, 1, 7, 8, 9, 255, 256, 1000):
+        word = rng.getrandbits(count) if count else 0
+        items = array(typecode, lattice._spread(word, count, typecode).to_bytes(
+            count * width, sys.byteorder))
+        assert list(items) == [word >> r & 1 for r in range(count)]
+
+
+@pytest.mark.parametrize("witnesses, typecode", [(255, "B"), (256, "H"), (300, "H")])
+def test_verdict_index_takes_256_or_more_witnesses(diamond6, monkeypatch, tmp_path,
+                                                   witnesses, typecode):
+    """A synthetic batch gives each of the 511 candidates of the canonical
+    diamond sweep one of `witnesses` distinct connected verdicts (candidate
+    r the (r % witnesses)-th), except that every seventh is separated.  The
+    report's verdict index grows past one byte when the table does, and
+    its rows, counterexamples and CSV lines keep each candidate's verdict."""
+    from seplat.cli import write_sweep_report
+    from seplat.graph import DIR_FORWARD, Path as GPath
+
+    table = [SeparationVerdict(False, GPath(("d(1,4)", f"w{i}"), (DIR_FORWARD,)))
+             for i in range(witnesses)]
+
+    def batch(g, a, b, n, words):
+        found = [0] * witnesses
+        for r in range(n):
+            if r % 7:
+                found[r % witnesses] |= 1 << r
+        return list(zip(found, table))
+
+    def want(r):
+        return table[r % witnesses] if r % 7 else SeparationVerdict(True, None)
+
+    def sweep():
+        return prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), L3C, 9,
+                           lattice_graph=diamond6)
+
+    plain = sweep()
+    monkeypatch.setattr(lattice, "witness_words", batch)
+    rep = sweep()
+    monkeypatch.undo()
+    assert rep.total == 511 and rep.verdicts.typecode == typecode
+    assert len(rep.table) == witnesses + 1
+    assert [(r.separated, r.witness) for r in rep.rows] == [want(r) for r in range(511)]
+    assert [r[:5] for r in rep.rows] == [r[:5] for r in plain.rows]
+    shielded = [r for r, row in enumerate(plain.rows) if row.shielder_off]
+    assert rep.counterexamples == [rep.rows[r] for r in shielded if r % 7]
+    report = tmp_path / "r.csv"
+    write_sweep_report(report, rep)
+    lines = report.read_text().splitlines()[1:]
+    assert [line.rsplit(";", 1)[1] for line in lines] == \
+        [f"d(1,4)->w{r % witnesses}" if r % 7 else "-" for r in range(511)]

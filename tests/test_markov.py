@@ -296,7 +296,7 @@ def test_find_witness_explaining_away(collider_graph):
 def test_find_witness_copies_down_to_a_conditioned_descendant():
     # a->c<-b with c->d->e: conditioning on e opens the collider c only if
     # the plan copies c down the chain to e
-    g = build_graph("abcde", [("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")])
+    g = build_graph(list("abcde"), [("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")])
     cpts, gap = find_dependence_witness(g, "a", "b", {"e"}, attempts=1, threshold=0.1,
                                         seed=0)
     violation = ci_violation(joint(g, cpts), EventRef.single("a"), EventRef.single("b"),

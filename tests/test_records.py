@@ -3,18 +3,27 @@ equal by value, checked when made, and cheap to build in a sweep.  Those
 without a list, dict or array field hash by value; the others cannot be
 hashed."""
 
+from array import array
+
 import numpy as np
 import pytest
 
 from seplat.errors import InvalidPath, KindMismatch
-from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path, build_graph
+from seplat.graph import (
+    ANCESTORS_INCLUSIVE,
+    BIDIR,
+    DIR_BACKWARD,
+    DIR_FORWARD,
+    Path,
+    build_graph,
+    relatives,
+)
 from seplat.lattice import (
     BOX,
     DIAMOND,
     L3C,
     Cell,
     Prop1Report,
-    Prop1Row,
     Region,
     ShieldVerdict,
     Window,
@@ -30,6 +39,7 @@ from seplat.markov import (
     ScreeningCheck,
     VertexCpt,
     check_cmc,
+    ci_details,
     is_locally_causal,
     joint,
     latent_expansion,
@@ -44,6 +54,7 @@ from seplat.separation import (
 )
 
 WITNESS = ("a", "c", "b"), (DIR_FORWARD, DIR_BACKWARD)
+GRAPH = build_graph(["a", "b", "c"], [("a", "c"), ("b", "c")])
 
 # each maker builds a fresh value from the same fields on every call
 MAKERS = {
@@ -58,8 +69,9 @@ MAKERS = {
     "EventRef": lambda: EventRef(("a", "b"), (1, 0)),
     "ScreeningCheck": lambda: ScreeningCheck(("a", "b"), ("c",), 4, 0.0, True),
     "VertexCpt": lambda: VertexCpt(("a",), np.array([0.25, 0.5])),
-    "Prop1Report": lambda: Prop1Report(L3C, [Prop1Row(("d(0,1)",), True, True, False,
-                                                      False, True, None)]),
+    "Prop1Report": lambda: Prop1Report(L3C, GRAPH, "a", "b", ("c",), 1, b"\4", array("B", [1]),
+                                       (SeparationVerdict(True), SeparationVerdict(
+                                           False, Path(*WITNESS)))),
     "CptSet": lambda: CptSet({"a": VertexCpt((), np.array(0.5)),
                               "b": VertexCpt(("a",), np.array([0.25, 0.5]))}),
     "CmcReport": lambda: CmcReport(3, [("a", "b", 0.25)]),
@@ -119,8 +131,8 @@ def test_producers_return_records():
     reports = (sweep, cpts, check_cmc(joint(dag, cpts), dag),
                is_locally_causal(DIAMOND, window, cpts, L3C))
     assert [type(r) for r in reports] == [Prop1Report, CptSet, CmcReport, LocalCausalityReport]
-    assert [type(f) for r in reports for f in r if isinstance(f, (list, dict))] == \
-        [list, dict, list, list]
+    assert [type(f) for r in reports for f in r if isinstance(f, (list, dict, array))] == \
+        [array, dict, list, list]
     assert sweep.total == 127 and reports[2].ok and reports[3].regions_checked == 4
 
 
@@ -168,6 +180,26 @@ def test_a_str_is_no_set_of_labels():
         EventRef("ab", (1, 0))
     with pytest.raises(ValueError, match="not a str"):
         EventRef(("a",), "1")
+
+
+# each takes a set of labels; a bare str would read as one label per character
+LABEL_CALLS = {
+    "Distribution.marginal": lambda d, g, labels: d.marginal(labels),
+    "relatives": lambda d, g, labels: relatives(g, labels, ANCESTORS_INCLUSIVE),
+    "ci_details": lambda d, g, labels: ci_details(d, EventRef.single("a"),
+                                                  EventRef.single("b"), labels),
+    "build_graph": lambda d, g, labels: build_graph(labels, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_CALLS))
+def test_label_set_apis_refuse_a_str(name):
+    g = build_graph(["a", "b", "c", "d", "cd"], [("c", "a"), ("d", "b"), ("cd", "a")])
+    d = joint(g, random_cpts(g, 0))
+    call = LABEL_CALLS[name]
+    call(d, g, ["cd"])  # the one label "cd"
+    with pytest.raises(ValueError, match="'cd' is a str"):
+        call(d, g, "cd")
 
 
 def test_event_sequences_become_tuples():

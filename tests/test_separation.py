@@ -209,9 +209,9 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
 
 
 def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkeypatch):
-    # criterion 13's sweep: one is_separated_words call decides every row,
-    # and each row's is_separated returns the verdict its query carries
-    # from that call, without a search
+    # criterion 13's sweep: one witness_words call decides every row, and
+    # each row read asks is_separated, which returns the verdict its query
+    # carries from that call, without a search
     import seplat.lattice
 
     calls = []
@@ -224,14 +224,15 @@ def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkey
             return fn(*args)
         monkeypatch.setattr(module, name, counted)
 
-    spy(seplat.lattice, "is_separated_words")
+    spy(seplat.lattice, "witness_words")
     spy(separation, "_search")
     spy(seplat.lattice, "is_separated")
     rep = prop1_sweep(DIAMOND, Window(0, 5, 0, 5), Cell(DIAMOND, 2, 5),
                       Cell(DIAMOND, 5, 2), L3C, max_cells=5, lattice_graph=diamond6)
+    rows = rep.rows
     monkeypatch.undo()
-    assert (rep.total, sum(not r.separated for r in rep.rows)) == (9401, 8775)
-    assert calls == ["is_separated_words"] + ["is_separated"] * 9401
+    assert (rep.total, sum(not r.separated for r in rows)) == (9401, 8775)
+    assert calls == ["witness_words"] + ["is_separated"] * 9401
     # the graph holds no sweep state: every slot equals a fresh build's
     fresh = build_lattice_graph(DIAMOND, Window(0, 5, 0, 5))
     assert all(getattr(diamond6, s) == getattr(fresh, s) for s in MixedGraph.__slots__)
