@@ -9,7 +9,7 @@ so exports and test fixtures are byte-stable.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     CycleError,
@@ -72,16 +72,14 @@ class MixedGraph:
     """
 
     __slots__ = ("vertices", "directed", "bidirected", "_parents", "_children",
-                 "_spouses", "_order", "_incident", "_directed_set",
-                 "_bidirected_set", "index", "adjacency", "ancestor_masks")
+                 "_spouses", "_order", "_incident", "index", "adjacency",
+                 "ancestor_masks")
 
     def __init__(self, vertices, directed, bidirected, parents, children,
                  spouses, order):
         self.vertices: tuple[str, ...] = vertices
         self.directed: tuple[tuple[str, str], ...] = directed
         self.bidirected: tuple[tuple[str, str], ...] = bidirected
-        self._directed_set = frozenset(directed)
-        self._bidirected_set = frozenset(bidirected)
         self._parents: dict[str, tuple[str, ...]] = parents
         self._children: dict[str, tuple[str, ...]] = children
         self._spouses: dict[str, tuple[str, ...]] = spouses
@@ -162,16 +160,13 @@ class MixedGraph:
                 raise UnknownVertex(f"unknown vertex {v!r}")
 
     def is_adjacent(self, a: str, b: str) -> bool:
-        pair = (a, b) if a <= b else (b, a)
-        return ((a, b) in self._directed_set or (b, a) in self._directed_set
-                or pair in self._bidirected_set)
+        return self.has_directed(a, b) or self.has_directed(b, a) or self.has_bidirected(a, b)
 
     def has_directed(self, u: str, v: str) -> bool:
-        return (u, v) in self._directed_set
+        return u in self._parents.get(v, ())
 
     def has_bidirected(self, u: str, v: str) -> bool:
-        pair = (u, v) if u <= v else (v, u)
-        return pair in self._bidirected_set
+        return u in self._spouses.get(v, ())
 
 
 def build_graph(vertices: Iterable[str],
@@ -312,15 +307,23 @@ def simple_paths(g: MixedGraph, a: str, b: str, max_len: int) -> Iterator[Path]:
     g.require((a, b))
     if a == b:
         raise ValueError("path endpoints must differ")
+    yield from _paths(g, a, b, max_len, lambda v, in_head, out_head: True)
+
+
+def _paths(g: MixedGraph, a: str, b: str, max_len: int,
+           passes: Callable[[str, bool, bool], bool]) -> Iterator[Path]:
+    """simple_paths' depth-first walk, extending a prefix past an interior
+    vertex v only when passes(v, in_head, out_head): whether the edges
+    before and after v have an arrowhead at v."""
     verts = [a]
     kinds: list[str] = []
     on_path = {a}
 
-    def walk(v: str) -> Iterator[Path]:
+    def walk(v: str, in_head: bool) -> Iterator[Path]:
         if len(kinds) >= max_len:
             return
-        for (w, _mv, _mw, kind) in g.incident(v):
-            if w in on_path:
+        for (w, mv, mw, kind) in g.incident(v):
+            if w in on_path or kinds and not passes(v, in_head, mv == "h"):
                 continue
             verts.append(w)
             kinds.append(kind)
@@ -328,12 +331,12 @@ def simple_paths(g: MixedGraph, a: str, b: str, max_len: int) -> Iterator[Path]:
                 yield Path(tuple(verts), tuple(kinds))
             else:
                 on_path.add(w)
-                yield from walk(w)
+                yield from walk(w, mw == "h")
                 on_path.discard(w)
             verts.pop()
             kinds.pop()
 
-    yield from walk(a)
+    return walk(a, False)
 
 
 def label_iterable(labels: Iterable[str], what: str) -> Iterable[str]:

@@ -40,9 +40,10 @@ the pool, children before parents, carrying reach[p], the candidates whose
 walk from A gets to p, and a candidate fails when its walk gets to a
 boundary cell.  Mapped to graph vertices, the same words are the sets of
 the sweep's separation batch (separation.witness_words).  A Prop1Report
-holds the answers as codes, one per candidate, and makes rows only when
-read.  The public predicates decide one Region: the per-cell rules over
-its cells, and L2 as that pass on a sweep of one candidate.
+holds the answers as codes, one per candidate, and decodes rows from them
+only when read; only the report writer asks is_separated, once per line.
+The public predicates decide one Region: the per-cell rules over its
+cells, and L2 as that pass on a sweep of one candidate.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import operator
 import re
 import sys
 from array import array
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -59,7 +60,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import graph as graph_mod
 from .errors import BudgetExceeded, KindMismatch, NotSpacelike, UnknownCell
 from .graph import MixedGraph
-from .separation import DecidedQuery, SeparationVerdict, is_separated, witness_words
+# is_separated is unused here: the sweep report writer
+# (cli.write_sweep_report) asks this binding for each line's verdict,
+# because perfbench's tracer and its flipped-verdict self-test patch it here
+from .separation import SeparationVerdict, is_separated, witness_words  # noqa: F401
 
 DIAMOND = "diamond"
 BOX = "box"
@@ -83,17 +87,15 @@ _KIND_OF_PREFIX = {"d": DIAMOND, "b": BOX}
 
 class Cell(NamedTuple("Cell", [("kind", str), ("a", int), ("b", int)])):
     """One lattice cell; (a, b) is (i, j) for diamonds and (k, m) for boxes.
-    A tuple, so cells sort by (kind, a, b); it keeps an instance dict only
-    for its cached label and cone."""
+    A tuple, so cells sort by (kind, a, b)."""
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: cells are immutable")
+    __slots__ = ()
 
-    @cached_property
+    @property
     def label(self) -> str:
         return f"{_PREFIX[self.kind]}({self.a},{self.b})"
 
-    @cached_property
+    @property
     def cone(self) -> tuple[int, int, int]:
         """(U, V, S): the causal past is {u < U, v < V, u + v < S} in
         light-cone coordinates (u, v) = (t - x, t + x)."""
@@ -567,7 +569,6 @@ class Prop1Report(NamedTuple):
     1 or 2 of geometry[r] is set when it fails L1, L2 or L3; verdicts[r]
     indexes table, the separated verdict and then one per distinct witness."""
 
-    variant: str
     graph: MixedGraph
     a: str
     b: str
@@ -586,10 +587,9 @@ class Prop1Report(NamedTuple):
 
     @property
     def rows(self) -> list[Prop1Row]:
-        """Every row, made when read from one is_separated(DecidedQuery) each."""
-        g, a, b, table = self.graph, self.a, self.b, self.table
-        return [tuple.__new__(Prop1Row, (region, *_GEOMETRY[code], not code, *is_separated(
-                    g, tuple.__new__(DecidedQuery, (a, b, region, table[v])))))
+        """Every row, decoded from its codes when read."""
+        table = self.table
+        return [tuple.__new__(Prop1Row, (region, *_GEOMETRY[code], not code, *table[v]))
                 for region, code, v in zip(self.candidates(), self.geometry, self.verdicts)]
 
     @property
@@ -614,8 +614,8 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     witness_words call that decides every candidate.  The report keeps both
     as codes made from the words with no step per candidate (_spread): one
     byte each, or more for the verdict index past 255 witnesses.  b is
-    strictly spacelike from a, so neither is in a's pool and each row's
-    query is made without rechecking.
+    strictly spacelike from a, so neither is in a's pool, and the report
+    writer makes each line's query without rechecking.
     A counterexample row is shielder-off yet connected.  The canonical 6x6
     diamond probes have none, but d(2,5)/d(5,2) have two, d-connected
     through a conditioned parent of a; the 6x9 box has three, m-connected
@@ -633,5 +633,5 @@ def prop1_sweep(kind: str, window: Window, cell_a: Cell, cell_b: Cell,
     typecode = next(t for t in "BHI" if len(found) < 1 << 8 * array(t).itemsize)
     index = sum(_spread(word, count, typecode) * i for i, (word, _) in enumerate(found, 1))
     verdicts = array(typecode, index.to_bytes(count * array(typecode).itemsize, sys.byteorder))
-    return Prop1Report(variant, g, a, b, labels, count, geometry, verdicts,
+    return Prop1Report(g, a, b, labels, count, geometry, verdicts,
                        (SeparationVerdict(True, None), *(verdict for _, verdict in found)))

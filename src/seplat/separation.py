@@ -2,11 +2,13 @@
 
 Three decision routes:
 
-* is_separated_oracle -- the ground truth.  It tests every simple path
-  against the blocking criterion (a non-collider in the conditioning set
-  blocks; a collider blocks unless it is in the conditioning set's
+* is_separated_oracle -- the ground truth.  It walks the simple paths
+  depth-first, in graph.simple_paths' order, past the interior vertices
+  the blocking criterion lets through (a non-collider in the conditioning
+  set blocks; a collider blocks unless it is in the conditioning set's
   inclusive ancestor closure, i.e. it or one of its descendants is
-  conditioned on).  It shares no code with the other two.
+  conditioned on), and takes the first path that reaches b.  It shares no
+  code with the other two.
 * is_separated -- the fast route for one query: a breadth-first search
   that decides the query and, when it is connected, returns the first
   active walk to b as the witness.
@@ -14,13 +16,13 @@ Three decision routes:
   as a sweep asks.  One bit-parallel search decides them all and returns
   what is_separated returns for each, witness included.  It checks each
   set as SeparationQuery and is_separated do, then hands the sets to
-  is_separated_words as membership words, one per vertex, the form a
-  lattice sweep already holds.  A sweep calls witness_words once and
-  still asks is_separated for each row it reads or writes, where
-  perfbench's tracer counts the calls and its self-test flips a verdict.
-  Each row's query is a DecidedQuery, a plain tuple (a, b, region labels,
-  the verdict from that call): no row runs a search or a check of its
-  own, and its cond frozenset is made only when something reads it.
+  witness_words as membership words, one per vertex, the form a lattice
+  sweep already holds.  A sweep calls witness_words once and keeps its
+  answer as codes; only its report writer still asks is_separated, once
+  per line, where perfbench's tracer counts the calls and its self-test
+  flips a verdict.  Each line's query is a DecidedQuery, a plain tuple (a,
+  b, region labels, the verdict from that call): no line runs a search or
+  a check of its own, and its cond frozenset is made only when read.
 
 The search.  Breadth-first reachability over integer states 2*v + head
 (vertex index, arrowhead on entry) on the graph's integer core (the
@@ -53,7 +55,7 @@ which b is first reached; a backward pass keeps the states that lie on a
 shortest active walk to b; a forward decode takes, at each state, the
 first allowed move onto a kept state.  That is the first walk in the order
 above, so the batch finds the search's witness bit for bit, building each
-distinct one once; is_separated_words spreads them over a list.  Its cost
+distinct one once; is_separated_each spreads them over a list.  Its cost
 is paid per state and move, not per set: on a few sets, is_separated is
 the faster route.
 
@@ -75,6 +77,7 @@ from .graph import (
     DIR_FORWARD,
     MixedGraph,
     Path,
+    _paths,
     label_iterable,
     relatives,
     topological_order,
@@ -104,8 +107,8 @@ class SeparationVerdict(NamedTuple):
 
 
 class DecidedQuery(NamedTuple):
-    """A sweep row's query: the pair, the row's region labels, and the
-    verdict that the sweep's witness_words call gave it, which
+    """A sweep report line's query: the pair, the line's region labels, and
+    the verdict that the sweep's witness_words call gave it, which
     is_separated returns.  Its cond is made only when read."""
 
     a: str
@@ -163,50 +166,20 @@ def is_separated_oracle(g: MixedGraph, q: SeparationQuery) -> SeparationVerdict:
     """Exhaustive simple-path test (max length |V| - 1 edges).
 
     Independent of the reachability route; kept as the ground-truth oracle.
-    The witness is the first connecting path in deterministic enumeration
-    order.  The search abandons a prefix the moment an interior vertex's
-    role is decided and blocked, which prunes nothing but blocked paths, so
-    the verdict and witness match the unpruned enumeration exactly.
+    The witness is the first connecting path in simple_paths' order.  The
+    walk abandons a prefix the moment an interior vertex's role is decided
+    and blocked, which prunes nothing but blocked paths, so the verdict and
+    witness match the unpruned enumeration exactly.
     """
     g.require((q.a, q.b))
     g.require(q.cond)
     cond = q.cond
     open_colliders = relatives(g, cond, ANCESTORS_INCLUSIVE)
 
-    verts = [q.a]
-    kinds: list[str] = []
-    on_path = {q.a}
-    max_len = len(g.vertices) - 1
+    def passes(v: str, in_head: bool, out_head: bool) -> bool:
+        return v in open_colliders if in_head and out_head else v not in cond
 
-    def walk(v: str, in_head: bool) -> Path | None:
-        if len(kinds) >= max_len:
-            return None
-        for (w, mv, mw, kind) in g.incident(v):
-            if w in on_path:
-                continue
-            if kinds:  # v is interior once we extend past it
-                if in_head and mv == "h":
-                    if v not in open_colliders:
-                        continue
-                elif v in cond:
-                    continue
-            verts.append(w)
-            kinds.append(kind)
-            if w == q.b:
-                found = Path(tuple(verts), tuple(kinds))
-                verts.pop()
-                kinds.pop()
-                return found
-            on_path.add(w)
-            found = walk(w, mw == "h")
-            on_path.discard(w)
-            verts.pop()
-            kinds.pop()
-            if found is not None:
-                return found
-        return None
-
-    witness = walk(q.a, False)
+    witness = next(_paths(g, q.a, q.b, len(g.vertices) - 1, passes), None)
     return SeparationVerdict(witness is None, witness)
 
 
@@ -315,28 +288,22 @@ def is_separated_each(g: MixedGraph, a: str, b: str,
     so the first bad set raises.  Each set may be any iterable of labels
     but a str, read once.
 
-    The label front end of is_separated_words: bit r of words[v] is set
-    iff vertex index v is in conds[r].
+    The label front end of witness_words: bit r of words[v] is set iff
+    vertex index v is in conds[r].
     """
     conds = list(conds)
     index = g.index
     words: defaultdict[int, bytearray] = defaultdict(partial(bytearray, (len(conds) + 7) >> 3))
     for r, c in enumerate(conds):
         q = SeparationQuery(a, b, c)
-        g.require((a, b))
-        g.require(q.cond)
+        # the pair once, before the first set's labels, as that query checks it
+        g.require(q.cond if r else (a, b, *q.cond))
         byte, bit = r >> 3, 1 << (r & 7)
         for v in q.cond:
             words[index[v]][byte] |= bit
-    return is_separated_words(g, a, b, len(conds),
-                              {v: int.from_bytes(buf, "little") for v, buf in words.items()})
-
-
-def is_separated_words(g: MixedGraph, a: str, b: str, n: int,
-                       words: dict[int, int]) -> list[SeparationVerdict]:
-    """What is_separated returns for each of witness_words' n sets, as a list."""
-    verdicts = [SeparationVerdict(True, None)] * n
-    for word, verdict in witness_words(g, a, b, n, words):
+    verdicts = [SeparationVerdict(True, None)] * len(conds)
+    for word, verdict in witness_words(g, a, b, len(conds), {
+            v: int.from_bytes(buf, "little") for v, buf in words.items()}):
         bits = format(word, "b")[::-1]
         r = bits.find("1")
         while r >= 0:
@@ -462,10 +429,6 @@ def _checked_witness(labels, verts, kinds, word, in_cond, in_anc) -> Path:
                        "a connecting simple path")
 
 
-def _sep(g: MixedGraph, a: str, b: str, cond: Iterable[str]) -> bool:
-    return is_separated(g, SeparationQuery(a, b, frozenset(cond))).separated
-
-
 def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     """Greedy minimal separator contained in ancestors_inclusive({a, b}).
 
@@ -487,11 +450,11 @@ def minimal_separator(g: MixedGraph, a: str, b: str) -> frozenset[str] | None:
     if g.is_adjacent(a, b):
         raise AdjacentVertices(f"{a!r} and {b!r} are adjacent")
     s0 = relatives(g, frozenset((a, b)), ANCESTORS_INCLUSIVE) - {a, b}
-    if not _sep(g, a, b, s0):
+    if not is_separated(g, SeparationQuery(a, b, s0)).separated:
         return None
     keep = set(s0)
     for v in sorted(s0):
         keep.discard(v)
-        if not _sep(g, a, b, keep):
+        if not is_separated(g, SeparationQuery(a, b, keep)).separated:
             keep.add(v)
     return frozenset(keep)

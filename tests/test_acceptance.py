@@ -135,6 +135,12 @@ def box_l3c(box69):
     return rep, time.perf_counter() - t0
 
 
+@pytest.fixture(scope="module")
+def box_l3c_rows(box_l3c):
+    # the 122,437 rows, decoded once for every test that reads them
+    return box_l3c[0].rows
+
+
 def _opens_at_spouse_collider(path, region):
     """True iff some region cell is a collider on the path with a
     bidirected edge on one side."""
@@ -145,13 +151,13 @@ def _opens_at_spouse_collider(path, region):
     )
 
 
-def test_criterion_3_prop1_box_m_separation(box69, box_l3c):
+def test_criterion_3_prop1_box_m_separation(box69, box_l3c, box_l3c_rows):
     rep, elapsed = box_l3c
     expected_candidates = sum(math.comb(28, k) for k in range(1, 6))
     # L1 is a per-cell test: 21 of the 28 pool cells (k < 4 and
     # |m - 2| <= 4 - k) lie in the causal past of b(4,2).
     expected_l1 = sum(math.comb(21, k) for k in range(1, 6))
-    shielded = [r for r in rep.rows if r.shielder_off]
+    shielded = [r for r in box_l3c_rows if r.shielder_off]
     directed_part = build_graph(box69.vertices, box69.directed, ())
     expansion = latent_expansion(box69)
 
@@ -187,7 +193,7 @@ def test_criterion_3_prop1_box_m_separation(box69, box_l3c):
               f"connected via {row.witness}")
 
     assert rep.total == expected_candidates
-    assert sum(r.l1 for r in rep.rows) == expected_l1
+    assert sum(r.l1 for r in box_l3c_rows) == expected_l1
     assert elapsed < 60.0
     assert rep.shielder_off_count >= 1
     assert not d_connected
@@ -237,7 +243,7 @@ def test_criterion_3_box_report_holds_no_rows(box69, tmp_path):
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_criterion_3_networkx_cross_check(box69, box_l3c):
+def test_criterion_3_networkx_cross_check(box69, box_l3c, box_l3c_rows):
     nx = pytest.importorskip("networkx")
     rep, _elapsed = box_l3c
     expansion = latent_expansion(box69)
@@ -245,7 +251,7 @@ def test_criterion_3_networkx_cross_check(box69, box_l3c):
     dag.add_nodes_from(expansion.vertices)
     dag.add_edges_from(expansion.directed)
     disagree = [
-        r.region for r in rep.rows if r.shielder_off
+        r.region for r in box_l3c_rows if r.shielder_off
         and nx.is_d_separator(dag, {B_A.label}, {B_B.label}, set(r.region))
         != r.separated
     ]

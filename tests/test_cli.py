@@ -431,7 +431,7 @@ def test_sweep_report_is_what_csv_writer_writes(tmp_path):
 
     from seplat.cli import CSV_HEADER, write_sweep_report
     from seplat.graph import BIDIR, DIR_BACKWARD, DIR_FORWARD, Path as GPath, build_graph
-    from seplat.lattice import L3C, Prop1Report, Prop1Row
+    from seplat.lattice import Prop1Report, Prop1Row
     from seplat.separation import SeparationVerdict
 
     labels = ("b(0,1)", "b(0,2)", "b(1,-1)", "d(0,0)", "d(10,3)", "p+q", "s p", "x.y", "z")
@@ -443,7 +443,7 @@ def test_sweep_report_is_what_csv_writer_writes(tmp_path):
     total = 300
     geometry = bytes(rng.randrange(8) for _ in range(total))
     verdicts = array("B", (rng.randrange(len(table)) for _ in range(total)))
-    report = Prop1Report(L3C, build_graph(["a", "b"]), "a", "b", labels, total, geometry,
+    report = Prop1Report(build_graph(["a", "b"]), "a", "b", labels, total, geometry,
                          verdicts, table)
     candidates = [c for k in range(1, len(labels) + 1) for c in combinations(labels, k)]
     rows = [Prop1Row(c, not code & 1, not code & 2, not code & 4, code == 0, *table[v])
@@ -464,10 +464,10 @@ def test_sweep_report_rejects_a_label_csv_would_quote(tmp_path, label):
 
     from seplat.cli import write_sweep_report
     from seplat.graph import build_graph
-    from seplat.lattice import L3C, Prop1Report
+    from seplat.lattice import Prop1Report
     from seplat.separation import SeparationVerdict
 
-    report = Prop1Report(L3C, build_graph(["a", "b"]), "a", "b", ("b(0,1)", label), 3,
+    report = Prop1Report(build_graph(["a", "b"]), "a", "b", ("b(0,1)", label), 3,
                          bytes(3), array("B", bytes(3)), (SeparationVerdict(True, None),))
     written = tmp_path / "written.csv"
     with pytest.raises(ValueError, match="would need quoting"):

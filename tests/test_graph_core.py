@@ -34,6 +34,10 @@ def test_build_single_spouse_pair():
     g = build_graph({"a", "b"}, [], [("b", "a")])
     assert g.bidirected == (("a", "b"),)
     assert g.spouses_of("a") == ("b",)
+    assert g.has_bidirected("b", "a") and g.is_adjacent("a", "b") and not g.has_directed("a", "b")
+    # an unknown label is adjacent to nothing
+    assert not any(f(x, y) for f in (g.has_directed, g.has_bidirected, g.is_adjacent)
+                   for x, y in (("a", "zz"), ("zz", "a"), ("zz", "zz")))
 
 
 def test_build_rejects_bad_edges():

@@ -553,11 +553,13 @@ def test_prop1_sweep_diamond_report(diamond6):
 
 
 
-def test_each_sweep_row_asks_is_separated_once(diamond6, monkeypatch):
-    # what perfbench's tracer counts and its self-test flips: one
-    # lattice.is_separated call per row read, whose query reads as the row's
-    # region, and whose returned verdict is the one the row reports; the
-    # sweep itself asks nothing
+def test_only_the_report_writer_asks_is_separated(diamond6, monkeypatch, tmp_path):
+    # what perfbench's tracer counts and its self-test flips: the sweep and a
+    # rows read ask lattice.is_separated nothing, and their rows decode the
+    # codes; writing the report asks it once per line, with the line's region
+    # as its cond, and writes the verdict it returns
+    from seplat.cli import write_sweep_report
+
     original, asked = lattice.is_separated, []
     flip = frozenset({"d(0,3)"})
 
@@ -572,15 +574,18 @@ def test_each_sweep_row_asks_is_separated_once(diamond6, monkeypatch):
         return prop1_sweep(DIAMOND, DIAMOND_WINDOW, d(1, 4), d(4, 1), L3C, 3,
                            lattice_graph=diamond6)
 
-    plain = sweep()
+    plain, written, changed = sweep(), tmp_path / "plain.csv", tmp_path / "flipped.csv"
+    write_sweep_report(written, plain)
     monkeypatch.setattr(lattice, "is_separated", flipped)
     rep = sweep()
-    assert asked == []
     rows = rep.rows
+    assert asked == [] and rows == plain.rows and rep.total == plain.total == 129
+    write_sweep_report(changed, rep)
     monkeypatch.undo()
-    assert asked == [("d(1,4)", "d(4,1)", frozenset(r.region)) for r in plain.rows]
-    changed = [r.region for r, s in zip(rows, plain.rows) if r != s]
-    assert changed == [("d(0,3)",)] and rep.total == plain.total == 129
+    assert asked == [("d(1,4)", "d(4,1)", frozenset(r.region)) for r in rows]
+    diff = [line.split(";")[0] for line, other in zip(
+        written.read_text().splitlines(), changed.read_text().splitlines()) if line != other]
+    assert diff == ["d(0,3)"]
 
 
 def test_prop1_rows_are_immutable(diamond6):
@@ -763,3 +768,25 @@ def test_verdict_index_takes_256_or_more_witnesses(diamond6, monkeypatch, tmp_pa
     lines = report.read_text().splitlines()[1:]
     assert [line.rsplit(";", 1)[1] for line in lines] == \
         [f"d(1,4)->w{r % witnesses}" if r % 7 else "-" for r in range(511)]
+
+
+def test_readme_library_tour_gives_its_commented_values():
+    # the README's "Library tour" snippet runs as printed, and each value
+    # its comments give is the one the code returns
+    import ast
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(snippet, namespace)
+    g = namespace["g"]
+    shown = []
+    for line in snippet.splitlines():
+        code, _, comment = line.partition("  # ")
+        if code.startswith("g = build_graph("):
+            assert comment.strip() == f"{len(g.vertices)} vertices, {len(g.directed)} arrows"
+        elif comment and isinstance(ast.parse(code).body[0], ast.Expr):
+            shown.append(comment.split(":")[0].strip())
+            assert repr(eval(code, namespace)) == shown[-1], line
+    assert shown == ["True", "84", "[]"]

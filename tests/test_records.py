@@ -69,7 +69,7 @@ MAKERS = {
     "EventRef": lambda: EventRef(("a", "b"), (1, 0)),
     "ScreeningCheck": lambda: ScreeningCheck(("a", "b"), ("c",), 4, 0.0, True),
     "VertexCpt": lambda: VertexCpt(("a",), np.array([0.25, 0.5])),
-    "Prop1Report": lambda: Prop1Report(L3C, GRAPH, "a", "b", ("c",), 1, b"\4", array("B", [1]),
+    "Prop1Report": lambda: Prop1Report(GRAPH, "a", "b", ("c",), 1, b"\4", array("B", [1]),
                                        (SeparationVerdict(True), SeparationVerdict(
                                            False, Path(*WITNESS)))),
     "CptSet": lambda: CptSet({"a": VertexCpt((), np.array(0.5)),
@@ -257,10 +257,13 @@ def test_cells_sort_by_kind_then_coordinates():
     assert Cell(BOX, 9, 9) < Cell(DIAMOND, 0, 0) and Cell(DIAMOND, 0, 5) < Cell(DIAMOND, 1, 0)
 
 
-def test_cell_label_and_cone_are_cached():
+def test_cell_label_and_cone_are_plain_properties():
+    # a cell is a bare tuple: no instance dict holds its label or cone
     c = Cell(BOX, 4, 2)
+    assert not hasattr(c, "__dict__")
     assert (c.label, c.cone) == ("b(4,2)", (3, 8, 10))
-    assert c.label is c.label and c.cone is c.cone
-    with pytest.raises(AttributeError):
-        c.label = "b(0,0)"
-    assert c.label == "b(4,2)"
+    assert (Cell(DIAMOND, 1, 3).label, Cell(DIAMOND, 1, 3).cone) == ("d(1,3)", (2, 4, 6))
+    for name in ("label", "cone", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    assert (c.label, c.cone) == ("b(4,2)", (3, 8, 10))

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -209,9 +210,9 @@ def test_minimal_separator_makes_one_pass(diamond6, box69, monkeypatch):
 
 
 def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkeypatch):
-    # criterion 13's sweep: one witness_words call decides every row, and
-    # each row read asks is_separated, which returns the verdict its query
-    # carries from that call, without a search
+    # criterion 13's sweep: one witness_words call decides every row, and a
+    # rows read decodes them from the sweep's codes, with no is_separated
+    # call and no search
     import seplat.lattice
 
     calls = []
@@ -232,7 +233,7 @@ def test_batch_decides_the_sweep_and_each_query_runs_one_search(diamond6, monkey
     rows = rep.rows
     monkeypatch.undo()
     assert (rep.total, sum(not r.separated for r in rows)) == (9401, 8775)
-    assert calls == ["witness_words"] + ["is_separated"] * 9401
+    assert calls == ["witness_words"]
     # the graph holds no sweep state: every slot equals a fresh build's
     fresh = build_lattice_graph(DIAMOND, Window(0, 5, 0, 5))
     assert all(getattr(diamond6, s) == getattr(fresh, s) for s in MixedGraph.__slots__)
@@ -280,6 +281,16 @@ def test_batch_takes_any_iterable_per_set(diamond6):
         assert str(each.value) == str(single.value)
 
 
+def _spread_verdicts(found, n):
+    """witness_words' answer as a list of n verdicts, one per set."""
+    verdicts = [SeparationVerdict(True, None)] * n
+    for word, verdict in found:
+        for r in range(n):
+            if word >> r & 1:
+                verdicts[r] = verdict
+    return verdicts
+
+
 def test_words_entry_takes_membership_words(diamond6, collider_graph):
     # bit r of words[v] marks vertex index v as a member of set r; a vertex
     # without a word, or with a zero word, is in no set; a key that is no
@@ -291,18 +302,25 @@ def test_words_entry_takes_membership_words(diamond6, collider_graph):
     for r, c in enumerate(conds):
         for v in c:
             words[diamond6.index[v]] = words.get(diamond6.index[v], 0) | 1 << r
-    want = separation.is_separated_each(diamond6, A, B, conds)
-    assert separation.is_separated_words(diamond6, A, B, len(conds), words) == want
+    want = [is_separated(diamond6, SeparationQuery(A, B, c)) for c in conds]
+    assert separation.is_separated_each(diamond6, A, B, conds) == want
+    found = separation.witness_words(diamond6, A, B, len(conds), words)
+    assert _spread_verdicts(found, len(conds)) == want
     words[diamond6.index[A]] = 0
-    assert separation.is_separated_words(diamond6, A, B, len(conds), words) == want
-    assert separation.is_separated_words(diamond6, A, B, 0, {}) == []
-    for g, a, b, bad, error in ((diamond6, A, B, diamond6.index[B], ValueError),
-                                (diamond6, A, A, None, ValueError),
-                                (diamond6, A, "nowhere", None, UnknownVertex),
-                                (collider_graph, "a", "b", -1, UnknownVertex),
-                                (collider_graph, "a", "b", 7, UnknownVertex)):
+    assert separation.witness_words(diamond6, A, B, len(conds), words) == found
+    assert separation.witness_words(diamond6, A, B, 0, {}) == []
+    assert separation.is_separated_each(diamond6, A, B, []) == []
+    # each bad word, and the set of labels that spells it
+    for g, a, b, bad, label, error in (
+            (diamond6, A, B, diamond6.index[B], B, ValueError),
+            (diamond6, A, A, None, None, ValueError),
+            (diamond6, A, "nowhere", None, None, UnknownVertex),
+            (collider_graph, "a", "b", -1, "nowhere", UnknownVertex),
+            (collider_graph, "a", "b", 7, "nowhere", UnknownVertex)):
         with pytest.raises(error):
-            separation.is_separated_words(g, a, b, 1, {} if bad is None else {bad: 1})
+            separation.witness_words(g, a, b, 1, {} if bad is None else {bad: 1})
+        with pytest.raises(error):
+            separation.is_separated_each(g, a, b, [[] if label is None else [label]])
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -312,15 +330,42 @@ def test_words_entry_checks_its_input_for_no_sets_too(collider_graph, n):
     from seplat.errors import UnknownVertex
 
     g = collider_graph
-    for a, b, words, error in (("a", "a", {}, ValueError),
-                               ("a", "nowhere", {}, UnknownVertex),
-                               ("nowhere", "b", {}, UnknownVertex),
-                               ("a", "b", {g.index["a"]: 1}, ValueError),
-                               ("a", "b", {7: 1}, UnknownVertex),
-                               ("a", "b", {-1: 1}, UnknownVertex)):
+    # each bad input, and the labels that spell its words; with no sets,
+    # is_separated_each has no labels to check, only the pair
+    for a, b, words, labels, error in (("a", "a", {}, [], ValueError),
+                                       ("a", "nowhere", {}, [], UnknownVertex),
+                                       ("nowhere", "b", {}, [], UnknownVertex),
+                                       ("a", "b", {g.index["a"]: 1}, ["a"], ValueError),
+                                       ("a", "b", {7: 1}, ["nowhere"], UnknownVertex),
+                                       ("a", "b", {-1: 1}, ["nowhere"], UnknownVertex)):
         with pytest.raises(error):
-            separation.is_separated_words(g, a, b, n, words)
-    assert separation.is_separated_words(g, "a", "b", 0, {g.index["c"]: 0}) == []
+            separation.witness_words(g, a, b, n, words)
+        if n or not labels:
+            with pytest.raises(error):
+                separation.is_separated_each(g, a, b, [labels] * n)
+    assert separation.witness_words(g, "a", "b", 0, {g.index["c"]: 0}) == []
+    assert separation.is_separated_each(g, "a", "b", [[]] * n) == \
+        [SeparationVerdict(True, None)] * n
+
+
+def test_oracle_witness_is_the_first_connecting_simple_path():
+    # the oracle's walk prunes only blocked prefixes, so its witness is the
+    # first path of the unpruned enumeration that is connecting, or None
+    rng = random.Random(35)
+    verdicts = []
+    for seed in range(70):
+        n = 2 + seed % 7
+        g = random_mixed_graph(n, 0.45, seed=5000 + seed)
+        for a, b in rng.sample(list(permutations(g.vertices, 2)), min(4, n * (n - 1))):
+            rest = sorted(set(g.vertices) - {a, b})
+            cond = frozenset(rng.sample(rest, rng.randint(0, min(3, len(rest)))))
+            first = next((p for p in simple_paths(g, a, b, n - 1)
+                          if path_is_connecting(g, p, cond)), None)
+            verdict = is_separated_oracle(g, SeparationQuery(a, b, cond))
+            assert verdict == SeparationVerdict(first is None, first)
+            verdicts.append(verdict.separated)
+    # both verdicts occur: 85 of the 260 queries are separated
+    assert (len(verdicts), sum(verdicts)) == (260, 85)
 
 
 def test_no_proper_subset_of_a_minimal_separator_separates():
