@@ -40,7 +40,7 @@ CSV_HEADER = ["candidate_set", "l1", "l2", "l3", "shielder_off", "separated", "w
 MC_CSV_HEADER = ["query", "atoms_checked", "max_violation", "verdict"]
 _BOOL_TEXT = ("false", "true")  # a report's boolean column, indexed by the bool
 # window bounds of `lattice gen`: diamond imin..jmax, box kmin..mmax
-_BOUND_NAMES = sum(lat._WINDOW_KEYS.values(), ())
+_BOUND_NAMES = sum((g.window_keys for g in lat._KINDS.values()), ())
 
 
 def write_report(path, header: list[str], rows) -> None:
@@ -387,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_parser(name, parents=options).set_defaults(func=func)
 
     command(lattice, "gen", _cmd_lattice_gen,
-            _option("--kind", choices=(lat.DIAMOND, lat.BOX), required=True),
+            _option("--kind", choices=tuple(lat._KINDS), required=True),
             *(_option(f"--{name}", type=int) for name in _BOUND_NAMES), out)
     command(sep, "check", _cmd_sep_check, graph, pair, cond,
             _option("--oracle", action="store_true"),

@@ -12,6 +12,16 @@ Two partitions of the plane into half-open unit cells are supported:
   so spacelike same-row neighbors have mutual past contact and become
   spouses (bidirected edges) in the induced mixed graph.
 
+Each kind is one record of _KINDS: its label prefix and window keys, its
+cone, its parent and spouse offsets, its canonical probes, and one rule,
+"the region of cell x meets the causal past of cell c" (x == c included):
+x.a <= c.a and x.b <= c.b for diamonds, x.a <= c.a and
+|x.b - c.b| <= c.a - x.a + 1 for boxes.  Every causal relation of two
+distinct cells follows from it: x is in the past of c when x meets c's
+past and c does not meet x's, they have mutual past contact when each
+meets the other's, and they are strictly spacelike when neither does.
+The geometric ancestors of c are the other cells that meet its past.
+
 A region C is shielder-off for a probe cell A relative to B when
   L1: every cell of C lies inside the causal past of A,
   L2: the causal shadow of C contains A (discrete domain of dependence:
@@ -80,10 +90,6 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 # default, kept here so the CLI parser can read it without loading numpy.
 DEFAULT_JOINT_BUDGET = 22
 
-_LABEL_RE = re.compile(r"^([db])\((-?\d+),(-?\d+)\)$")
-_PREFIX = {DIAMOND: "d", BOX: "b"}
-_KIND_OF_PREFIX = {"d": DIAMOND, "b": BOX}
-
 
 class Cell(NamedTuple("Cell", [("kind", str), ("a", int), ("b", int)])):
     """One lattice cell; (a, b) is (i, j) for diamonds and (k, m) for boxes.
@@ -93,15 +99,13 @@ class Cell(NamedTuple("Cell", [("kind", str), ("a", int), ("b", int)])):
 
     @property
     def label(self) -> str:
-        return f"{_PREFIX[self.kind]}({self.a},{self.b})"
+        return f"{_geometry(self.kind).prefix}({self.a},{self.b})"
 
     @property
     def cone(self) -> tuple[int, int, int]:
         """(U, V, S): the causal past is {u < U, v < V, u + v < S} in
         light-cone coordinates (u, v) = (t - x, t + x)."""
-        if self.kind == DIAMOND:
-            return self.a + 1, self.b + 1, self.a + self.b + 2
-        return self.a + 1 - self.b, self.a + self.b + 2, 2 * self.a + 2
+        return _geometry(self.kind).cone(self.a, self.b)
 
 
 def parse_cell(label: str) -> Cell:
@@ -109,7 +113,8 @@ def parse_cell(label: str) -> Cell:
     of it ("d(01,4)", "d(-0,4)") is an UnknownCell, so that every command
     reads a label as the one graph vertex of that name."""
     m = _LABEL_RE.match(label)
-    cell = Cell(_KIND_OF_PREFIX[m.group(1)], int(m.group(2)), int(m.group(3))) if m else None
+    cell = Cell(next(k for k, g in _KINDS.items() if g.prefix == m[1]),
+                int(m[2]), int(m[3])) if m else None
     if cell is None or cell.label != label:
         raise UnknownCell(f"bad cell label {label!r}")
     return cell
@@ -142,19 +147,53 @@ class Window(NamedTuple("Window", [("a_min", int), ("a_max", int),
                      for y in range(self.b_min, self.b_max + 1))
 
 
-_WINDOW_KEYS = {DIAMOND: ("imin", "imax", "jmin", "jmax"),
-                BOX: ("kmin", "kmax", "mmin", "mmax")}
+class _Geometry(NamedTuple):
+    """All that tells one partition from the other (module docstring)."""
+
+    prefix: str
+    window_keys: tuple[str, str, str, str]
+    cone: Callable[[int, int], tuple[int, int, int]]
+    # does the region of cell x meet the causal past of cell c?  True for x == c
+    meets_past: Callable[[Cell, Cell], bool]
+    parents: tuple[tuple[int, int], ...]
+    spouses: tuple[tuple[int, int], ...]
+    probes: Callable[[Window], tuple[tuple[int, int], tuple[int, int]]]
+
+
+_KINDS = {
+    DIAMOND: _Geometry(
+        prefix="d", window_keys=("imin", "imax", "jmin", "jmax"),
+        cone=lambda i, j: (i + 1, j + 1, i + j + 2),
+        meets_past=lambda x, c: x.a <= c.a and x.b <= c.b,
+        parents=((-1, 0), (0, -1), (-1, -1)), spouses=(),
+        probes=lambda w: ((w.a_min + 1, w.b_max - 1), (w.a_max - 1, w.b_min + 1))),
+    BOX: _Geometry(
+        prefix="b", window_keys=("kmin", "kmax", "mmin", "mmax"),
+        cone=lambda k, m: (k + 1 - m, k + m + 2, 2 * k + 2),
+        meets_past=lambda x, c: x.a <= c.a and abs(x.b - c.b) <= c.a - x.a + 1,
+        parents=((-1, -1), (-1, 0), (-1, 1)), spouses=((0, -1), (0, 1)),
+        probes=lambda w: ((w.a_max - 1, w.b_min + 2), (w.a_max - 1, w.b_max - 2))),
+}
+_LABEL_RE = re.compile(r"^(%s)\((-?\d+),(-?\d+)\)$" % "|".join(g.prefix for g in _KINDS.values()))
+
+
+def _geometry(kind: str) -> _Geometry:
+    """The kind's record; any other kind is a ValueError."""
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown lattice kind {kind!r}") from None
 
 
 def window_to_dict(kind: str, w: Window) -> dict:
-    keys = _WINDOW_KEYS[kind]
+    keys = _geometry(kind).window_keys
     return dict(zip(keys, (w.a_min, w.a_max, w.b_min, w.b_max)))
 
 
 def window_from_dict(kind: str, d: dict) -> Window:
     """The window of exactly the kind's four bounds; a missing or stray key
     is a ValueError naming it."""
-    keys = _WINDOW_KEYS[kind]
+    keys = _geometry(kind).window_keys
     if set(d) != set(keys):
         wrong = [f"missing {k}" for k in keys if k not in d] + \
                 [f"stray {k}" for k in sorted(d) if k not in keys]
@@ -212,56 +251,44 @@ def _require_same_kind(x: Cell | Region, y: Cell | Region) -> str:
     return x.kind
 
 
-def causal_relation(a: Cell, b: Cell) -> str:
-    """Exactly one of past_of_b / future_of_b / spacelike for an ordered pair.
-
-    Box cells in the same row with |dm| = 1 intersect each other's past
-    cones; they are reported spacelike here and flagged separately by
-    mutual_past_contact() for spouse detection.
-    """
+def _past_contact(a: Cell, b: Cell) -> tuple[bool, bool]:
+    """(a meets the causal past of b, b meets that of a) for distinct cells."""
     kind = _require_same_kind(a, b)
     if a == b:
         raise ValueError("causal_relation needs distinct cells")
-    if kind == DIAMOND:
-        if a.a <= b.a and a.b <= b.b:
-            return PAST_OF_B
-        if a.a >= b.a and a.b >= b.b:
-            return FUTURE_OF_B
-        return SPACELIKE
-    # box: a intersects PC(b) iff |m_a - m_b| <= (k_b - k_a) + 1 and k_a < k_b
-    if a.a < b.a and abs(a.b - b.b) <= (b.a - a.a) + 1:
-        return PAST_OF_B
-    if a.a > b.a and abs(a.b - b.b) <= (a.a - b.a) + 1:
-        return FUTURE_OF_B
-    return SPACELIKE
+    meets = _geometry(kind).meets_past
+    return meets(a, b), meets(b, a)
+
+
+def causal_relation(a: Cell, b: Cell) -> str:
+    """Exactly one of past_of_b / future_of_b / spacelike for an ordered pair:
+    past_of_b when a meets the causal past of b and b does not meet a's.
+
+    Box cells in the same row with |dm| = 1 meet each other's past; they
+    are reported spacelike here and flagged separately by
+    mutual_past_contact() for spouse detection.
+    """
+    into, back = _past_contact(a, b)
+    return SPACELIKE if into == back else PAST_OF_B if into else FUTURE_OF_B
 
 
 def mutual_past_contact(a: Cell, b: Cell) -> bool:
-    """True for spacelike box neighbors whose past cones reach each other."""
-    kind = _require_same_kind(a, b)
-    return kind == BOX and a.a == b.a and abs(a.b - b.b) == 1
+    """True for distinct cells that each meet the other's causal past."""
+    return a != b and all(_past_contact(a, b))
 
 
 def strictly_spacelike(a: Cell, b: Cell) -> bool:
-    return causal_relation(a, b) == SPACELIKE and not mutual_past_contact(a, b)
+    return not any(_past_contact(a, b))
 
 
 def direct_parents(c: Cell) -> frozenset[Cell]:
     """Cells with a causal curve into c that enters no third region."""
-    if c.kind == DIAMOND:
-        return frozenset((Cell(DIAMOND, c.a - 1, c.b),
-                          Cell(DIAMOND, c.a, c.b - 1),
-                          Cell(DIAMOND, c.a - 1, c.b - 1)))
-    return frozenset((Cell(BOX, c.a - 1, c.b - 1),
-                      Cell(BOX, c.a - 1, c.b),
-                      Cell(BOX, c.a - 1, c.b + 1)))
+    return frozenset([Cell(c.kind, c.a + da, c.b + db) for da, db in _geometry(c.kind).parents])
 
 
 def spouses(c: Cell) -> frozenset[Cell]:
     """Spacelike neighbors with mutual past contact (box rows only)."""
-    if c.kind == BOX:
-        return frozenset((Cell(BOX, c.a, c.b - 1), Cell(BOX, c.a, c.b + 1)))
-    return frozenset()
+    return frozenset([Cell(c.kind, c.a + da, c.b + db) for da, db in _geometry(c.kind).spouses])
 
 
 def is_boundary_cell(c: Cell, window: Window) -> bool:
@@ -271,8 +298,7 @@ def is_boundary_cell(c: Cell, window: Window) -> bool:
 
 def build_graph(kind: str, window: Window) -> MixedGraph:
     """One vertex per in-window cell; parent arrows, spouse bidirected edges."""
-    if kind not in (DIAMOND, BOX):
-        raise ValueError(f"unknown lattice kind {kind!r}")
+    _geometry(kind)
     cells = window.cells(kind)
     vertices = [c.label for c in cells]
     directed = []
@@ -288,10 +314,9 @@ def build_graph(kind: str, window: Window) -> MixedGraph:
 
 
 def geo_ancestors(c: Cell, window: Window) -> frozenset[Cell]:
-    """In-window cells whose region intersects the causal past of c."""
-    return frozenset(x for x in window.cells(c.kind)
-                     if x != c and (causal_relation(x, c) == PAST_OF_B
-                                    or mutual_past_contact(x, c)))
+    """The other in-window cells whose region meets the causal past of c."""
+    meets = _geometry(c.kind).meets_past
+    return frozenset(x for x in window.cells(c.kind) if x != c and meets(x, c))
 
 
 def _l1_rule(cell_a: Cell) -> Callable[[Cell], bool]:
@@ -539,13 +564,7 @@ def region_to_vertexset(region: Region, g: MixedGraph) -> frozenset[str]:
 
 def canonical_probe_pair(kind: str, window: Window) -> tuple[Cell, Cell]:
     """Default spacelike probe pair for a window (the two "peaks")."""
-    if kind == DIAMOND:
-        a = Cell(DIAMOND, window.a_min + 1, window.b_max - 1)
-        b = Cell(DIAMOND, window.a_max - 1, window.b_min + 1)
-    else:
-        row = window.a_max - 1
-        a = Cell(BOX, row, window.b_min + 2)
-        b = Cell(BOX, row, window.b_max - 2)
+    a, b = (Cell(kind, *p) for p in _geometry(kind).probes(window))
     if not (window.contains(a) and window.contains(b)):
         raise ValueError("window too small for a canonical probe pair")
     _require_spacelike_pair(a, b)

@@ -470,7 +470,8 @@ def test_criterion_13_diamond_shielding_off_canonical_probes(diamond6):
     for variant in (L3C, L3Q):
         rep = prop1_sweep(DIAMOND, DIAMOND_WINDOW, cell_a, cell_b, variant,
                           max_cells=5, lattice_graph=diamond6)
-        shielded = [r for r in rep.rows if r.shielder_off]
+        rows = rep.rows
+        shielded = [r for r in rows if r.shielder_off]
         # the exhaustive-path oracle and networkx agree with every verdict
         disagree = [r.region for r in shielded
                     if is_separated_oracle(diamond6, SeparationQuery(
@@ -479,14 +480,14 @@ def test_criterion_13_diamond_shielding_off_canonical_probes(diamond6):
         witnesses = {format_path(r.witness) for r in rep.counterexamples}
         found[variant] = (rep.total, len(shielded), len(rep.counterexamples))
         env_separated = {r.region: is_separated(with_env, SeparationQuery(
-            a, "E", frozenset(r.region))).separated for r in rep.rows if r.l1}
+            a, "E", frozenset(r.region))).separated for r in rows if r.l1}
         assert {r.region for r in rep.counterexamples} == OFF_CANONICAL_COUNTEREXAMPLES
         assert witnesses == {OFF_CANONICAL_WITNESS}
         assert not disagree
-        assert {r.region for r in rep.rows if r.l1 and r.l2 != env_separated[r.region]
+        assert {r.region for r in rows if r.l1 and r.l2 != env_separated[r.region]
                 } == L2_BUT_CONNECTED_TO_E
         # with separation from E in place of L2 no shielded region is connected
-        assert all(r.separated for r in rep.rows
+        assert all(r.separated for r in rows
                    if r.l1 and r.l3 and env_separated[r.region])
     _report(13, found == {L3C: (9401, 138, 2), L3Q: (9401, 29, 2)},
             f"diamond probes {a}/{b}, <= 5 cells: (candidates, shielder-off, "

@@ -43,6 +43,8 @@ from seplat.lattice import (
     shielding_sweep,
     spouses,
     strictly_spacelike,
+    window_from_dict,
+    window_to_dict,
 )
 from seplat.separation import SeparationVerdict
 
@@ -145,6 +147,41 @@ def test_build_graph_counts(diamond3, box3):
     assert (len(g1.vertices), len(g1.directed), len(g1.bidirected)) == (1, 0, 0)
     with pytest.raises(ValueError, match="unknown lattice kind"):
         build_graph("hexagon", Window(0, 0, 0, 0))
+
+
+HEXAGON = Cell("hexagon", 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: canonical_probe_pair("hexagon", Window(0, 5, 0, 8)),
+    lambda: window_from_dict("hexagon", {"kmin": 0, "kmax": 5, "mmin": 0, "mmax": 8}),
+    lambda: window_to_dict("hexagon", Window(0, 5, 0, 8)),
+    lambda: HEXAGON.label,
+    lambda: HEXAGON.cone,
+    lambda: direct_parents(HEXAGON),
+    lambda: spouses(HEXAGON),
+], ids=["canonical_probe_pair", "window_from_dict", "window_to_dict", "label", "cone",
+        "direct_parents", "spouses"])
+def test_unknown_kinds_have_no_geometry(call):
+    # a kind with no record never falls back to another kind's geometry
+    with pytest.raises(ValueError, match="unknown lattice kind 'hexagon'"):
+        call()
+
+
+@pytest.mark.parametrize("kind", [DIAMOND, BOX])
+def test_equal_probe_cells_are_no_pair(kind):
+    window = Window(0, 5, 0, 8)
+    cell = Cell(kind, 4, 4)
+    below = Region(kind, frozenset({Cell(kind, 3, 4)}))
+    for call in (lambda: strictly_spacelike(cell, cell),
+                 lambda: l3_region(below, cell, cell, L3C),
+                 lambda: l3_region(below, cell, cell, L3Q),
+                 lambda: shielder_off(below, cell, cell, L3Q, window),
+                 lambda: next(shielding_sweep(cell, cell, window, L3C)),
+                 lambda: prop1_sweep(kind, window, cell, cell, L3C)):
+        # a ValueError of its own, not the NotSpacelike of a connectable pair
+        with pytest.raises(ValueError, match="distinct cells"):
+            call()
 
 
 def test_geo_ancestors_diamond():
@@ -469,6 +506,15 @@ def test_geo_ancestors_match_past_cone(case):
     c, window = case
     expected = {x for x in window.cells(c.kind) if x != c and _meets_past(x, c)}
     assert geo_ancestors(c, window) == expected
+    # every relation of a pair is read off the past contact in both directions
+    for x in window.cells(c.kind):
+        if x == c:
+            continue
+        into, back = _meets_past(x, c), _meets_past(c, x)
+        relation = SPACELIKE if into == back else PAST_OF_B if into else FUTURE_OF_B
+        assert causal_relation(x, c) == relation
+        assert mutual_past_contact(x, c) == (into and back)
+        assert strictly_spacelike(x, c) == (not into and not back)
 
 
 def test_shielder_off_fixture_regions():

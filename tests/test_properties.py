@@ -11,7 +11,9 @@ from seplat.errors import UnknownVertex
 from seplat.graph import (
     ANCESTORS,
     ANCESTORS_INCLUSIVE,
+    BIDIR,
     DESCENDANTS,
+    DIR_FORWARD,
     PARENTS,
     build_graph,
     relatives,
@@ -257,9 +259,11 @@ def test_minimal_separator_always_exists_on_dags(g):
 
 
 def _with_environment(g):
-    """G+E: g plus a root E with an edge into every root of g."""
+    """G+E: g plus a root E with an edge into every vertex of g that has no
+    parent; g's spouse edges stay."""
     roots = [v for v in g.vertices if not g.parents_of(v)]
-    return build_graph(list(g.vertices) + ["E"], list(g.directed) + [("E", r) for r in roots])
+    return build_graph(list(g.vertices) + ["E"], list(g.directed) + [("E", r) for r in roots],
+                       g.bidirected)
 
 
 def test_environment_separation_matches_pair_separation_under_l1_and_l3q():
@@ -300,3 +304,21 @@ def test_environment_separation_needs_l3q():
     assert is_separated(ge, SeparationQuery("v4", "v3", cond)).separated
     env = is_separated(ge, SeparationQuery("v4", "E", cond))
     assert not env.separated and env.witness.vertices == ("v4", "v5", "E")
+
+
+def test_environment_separation_needs_a_dag():
+    # C = {v10} meets the graph forms of L1 and L3Q, and a is separated from
+    # E, yet a and b are m-connected through a spouse edge: v8 is a root, so
+    # E -> v8 <-> v0 makes v8 a collider that blocks the walk to E, while
+    # v0 <-> v8 -> v3 passes v8 as a non-collider
+    g = random_mixed_graph(11, 0.3, 5)
+    ge = _with_environment(g)
+    a, b, cond = "v0", "v3", {"v10"}
+    past_a, past_b = (relatives(g, (v,), ANCESTORS_INCLUSIVE) for v in (a, b))
+    assert cond <= past_a - {a} and not cond & past_b
+    assert a not in past_b and b not in past_a and not g.is_adjacent(a, b)
+    assert not g.parents_of("v8") and g.has_bidirected(a, "v8")
+    assert is_separated(ge, SeparationQuery(a, "E", cond)).separated
+    pair = is_separated(g, SeparationQuery(a, b, cond))
+    assert not pair.separated and pair.witness.vertices == ("v0", "v8", "v3")
+    assert pair.witness.edges == (BIDIR, DIR_FORWARD)
